@@ -47,9 +47,10 @@ template <typename T>
 std::size_t scratch_bytes(int n, int nb) {
   if (n <= 0) return 0;
   if (nb <= 0 || nb > n) nb = n;
-  // Largest GEMM a factor step issues is a tile-sized trailing product; on
-  // top of the pack panels, the apply/panel kernels stage a handful of
-  // nb x nb intermediates (W = V^T C, TRSM copies, blocked-panel scratch).
+  // The high-water mark is a blocked compact-WY apply (unmqr, ttmqr): four
+  // nb x nb buffers (W, dense V, dense T, W2 = op(T) W) are live while its
+  // last tile-sized GEMM packs its panels. Every other kernel (tsmqr with
+  // three buffers, the blocked panels, TRSM) stages less.
   return kern::gemm_pack_scratch_bytes<T>(nb, nb, nb) +
          static_cast<std::size_t>(4) * nb * nb * sizeof(T);
 }

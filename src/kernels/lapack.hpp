@@ -18,8 +18,9 @@
 // Kernels that need scratch (the compact-WY applies and the panel
 // factorizations' work vectors) take an optional Workspace*; nullptr means
 // the calling thread's arena (each engine worker owns one). The apply
-// kernels (TSMQR/TTMQR/UNMQR) route their W = V^T C / C -= V W products
-// through the packed blocked GEMM above the gemm dispatch threshold.
+// kernels (TSMQR/TTMQR/UNMQR) route all three products of the apply —
+// W = V^T C, W <- op(T) W and C -= V W — through the packed blocked GEMM
+// above the gemm dispatch threshold, reading only the upper triangle of T.
 #pragma once
 
 #include <vector>

@@ -2,6 +2,7 @@
 #include <cmath>
 
 #include "kernels/access.hpp"
+#include "kernels/compact_wy.hpp"
 #include "kernels/lapack.hpp"
 #include "kernels/pack.hpp"
 #include "obs/kprof.hpp"
@@ -73,9 +74,9 @@ void geqrt_unblocked(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
 
 // Blocked compact-WY factorization: factor a jb-wide panel with the
 // unblocked loops, push the trailing-column update through unmqr (whose
-// W = V^T C / C -= V W halves are packed GEMMs above the dispatch
-// threshold), and accumulate the full T factor block-by-block with the
-// standard coupling T12 = -T1 (V1^T V2) T2 — so downstream consumers
+// products are packed GEMMs above the dispatch threshold), and accumulate
+// the full T factor block-by-block with the standard coupling
+// T12 = -T1 (V1^T V2) T2 — so downstream consumers
 // (unmqr, the replay log) see exactly the same compact-WY convention the
 // unblocked kernel produces.
 template <typename T>
@@ -102,14 +103,8 @@ void geqrt_blocked(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
       Workspace::Frame frame(ws);
       // V2 densified: the unit-lower trapezoid of the factored panel.
       const int mrem = m - j0;
-      MatrixView<T> v2(ws.alloc<T>(static_cast<std::size_t>(mrem) * bb), mrem,
-                       bb, mrem);
-      for (int j = 0; j < bb; ++j) {
-        T* col = &v2(0, j);
-        for (int i = 0; i < j; ++i) col[i] = T(0);
-        col[j] = T(1);
-        for (int i = j + 1; i < mrem; ++i) col[i] = panel(i, j);
-      }
+      const MatrixView<T> v2 = densify_triangle(
+          Uplo::Lower, Diag::Unit, ConstMatrixView<T>(panel), ws);
       // W = V1^T V2. V2 is zero in the rows above j0, so only the dense
       // below-j0 part of V1 (= the stored reflectors of the earlier panels)
       // contributes.
@@ -123,24 +118,10 @@ void geqrt_blocked(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
       // loops would dominate the whole factorization (measured >50% of the
       // blocked kernel at nb = 128); two copies + packed GEMMs are far
       // cheaper.
-      MatrixView<T> t1d(ws.alloc<T>(static_cast<std::size_t>(j0) * j0), j0, j0,
-                        j0);
-      for (int j = 0; j < j0; ++j) {
-        T* col = &t1d(0, j);
-        for (int i = 0; i <= j; ++i) col[i] = t(i, j);
-        for (int i = j + 1; i < j0; ++i) col[i] = T(0);
-      }
-      MatrixView<T> t2d(ws.alloc<T>(static_cast<std::size_t>(bb) * bb), bb, bb,
-                        bb);
-      for (int j = 0; j < bb; ++j) {
-        T* col = &t2d(0, j);
-        for (int i = 0; i <= j; ++i) col[i] = t22(i, j);
-        for (int i = j + 1; i < bb; ++i) col[i] = T(0);
-      }
-      MatrixView<T> w2(ws.alloc<T>(static_cast<std::size_t>(j0) * bb), j0, bb,
-                       j0);
-      gemm(Trans::No, Trans::No, T(1), ConstMatrixView<T>(t1d),
-           ConstMatrixView<T>(w), T(0), w2, wsp);
+      const MatrixView<T> w2 = apply_t_factor(
+          Trans::No, ConstMatrixView<T>(t), ConstMatrixView<T>(w), ws);
+      const MatrixView<T> t2d = densify_triangle(
+          Uplo::Upper, Diag::NonUnit, ConstMatrixView<T>(t22), ws);
       gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(w2),
            ConstMatrixView<T>(t2d), T(0), t.block(0, j0, j0, bb), wsp);
     }
@@ -179,25 +160,14 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   if (gemm_wants_blocked(k, n, m)) {
     // Big tiles: materialize the unit-lower-trapezoidal V densely (the
     // upper triangle of its storage holds R and must read as zero, the
-    // diagonal as one) so both halves of the compact-WY apply are packed
-    // GEMMs — the W = V^T C / C -= V W shapes that dominate the QR step.
-    MatrixView<T> vfull(ws.alloc<T>(static_cast<std::size_t>(m) * k), m, k, m);
-    for (int j = 0; j < k; ++j) {
-      T* col = &vfull(0, j);
-      for (int i = 0; i < j; ++i) col[i] = T(0);
-      col[j] = T(1);
-      const T* src = &v(0, j);
-      for (int i = j + 1; i < m; ++i) col[i] = src[i];
-    }
-    // W = V^T C.
+    // diagonal as one) so all three products of the compact-WY apply —
+    // W = V^T C, W2 = op(T) W, C -= V W2 — are packed GEMMs.
+    const MatrixView<T> vfull = densify_triangle(Uplo::Lower, Diag::Unit, v, ws);
     gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
          ConstMatrixView<T>(c), T(0), w, &ws);
-    // W <- op(T) W.
-    trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-         t.block(0, 0, k, k), w);
-    // C <- C - V W.
+    const MatrixView<T> w2 = apply_t_factor(trans, t, ConstMatrixView<T>(w), ws);
     gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(w), T(1), c, &ws);
+         ConstMatrixView<T>(w2), T(1), c, &ws);
     return;
   }
 

@@ -1,6 +1,7 @@
 #include <cmath>
 
 #include "kernels/access.hpp"
+#include "kernels/compact_wy.hpp"
 #include "kernels/lapack.hpp"
 #include "kernels/pack.hpp"
 #include "obs/kprof.hpp"
@@ -85,20 +86,16 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   if (gemm_wants_blocked(nb, n, nb)) {
     // Big tiles: materialize the triangular V as a dense tile (the storage
     // below its diagonal belongs to earlier reflectors and must read as
-    // zero) and ride the packed GEMM for both V^T C2 and V Z. The explicit
-    // zeros double the nominal flop count but run at blocked-kernel speed,
-    // which overtakes the short triangular loops well before nb = 64.
-    MatrixView<T> vfull(ws.alloc<T>(static_cast<std::size_t>(nb) * nb), nb, nb, nb);
-    for (int j = 0; j < nb; ++j) {
-      T* col = &vfull(0, j);
-      for (int i = 0; i <= j; ++i) col[i] = v(i, j);
-      for (int i = j + 1; i < nb; ++i) col[i] = T(0);
-    }
+    // zero) and ride the packed GEMM for all three products, V^T C2, op(T) Z
+    // and V Z. The explicit zeros of V and T double the flops over the
+    // triangular loops (6 nb^2 n against 3 nb^2 n) but run at blocked-kernel
+    // speed, which overtakes the short triangular loops well before nb = 64.
+    const MatrixView<T> vfull =
+        densify_triangle(Uplo::Upper, Diag::NonUnit, v, ws);
     // Z = C1 + V^T C2.
     gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
          ConstMatrixView<T>(c2), T(1), z, &ws);
-    trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-         t.block(0, 0, nb, nb), z);
+    z = apply_t_factor(trans, t, ConstMatrixView<T>(z), ws);
     // C1 -= Z ; C2 -= V Z.
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);

@@ -68,8 +68,8 @@ KernelSlot& kernel_slot(KernelClass c) {
     for (int i = 0; i < kKernelClassCount; ++i) {
       const Labels labels{{"class", kernel_class_label(KernelClass(i))}};
       (*arr)[size_t(i)] = KernelSlot{
-          &reg.counter("luqr_kernel_time_us_total", labels,
-                       "Wall time spent inside kernel dispatch, microseconds"),
+          &reg.counter("luqr_kernel_time_ns_total", labels,
+                       "Wall time spent inside kernel dispatch, nanoseconds"),
           &reg.counter("luqr_kernel_calls_total", labels,
                        "Kernel dispatch invocations"),
           &reg.counter("luqr_kernel_flops_total", labels,
@@ -89,7 +89,8 @@ KernelProfile kernel_profile() {
   for (int i = 0; i < kKernelClassCount; ++i) {
     const detail::KernelSlot& slot = detail::kernel_slot(KernelClass(i));
     prof[size_t(i)].calls = slot.calls->value();
-    prof[size_t(i)].time_us = slot.time_us->value();
+    prof[size_t(i)].time_ns = slot.time_ns->value();
+    prof[size_t(i)].time_us = prof[size_t(i)].time_ns / 1000;
     prof[size_t(i)].flops = slot.flops->value();
   }
   return prof;

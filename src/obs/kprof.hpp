@@ -4,7 +4,7 @@
 // instruments with note_read/note_write) opens a KernelScope that records
 // wall time, call count, and model flops into per-class registry counters:
 //
-//   luqr_kernel_time_us_total{class="gemm"}
+//   luqr_kernel_time_ns_total{class="gemm"}
 //   luqr_kernel_calls_total{class="gemm"}
 //   luqr_kernel_flops_total{class="gemm"}
 //
@@ -57,7 +57,8 @@ bool kernel_profiler_enabled();
 
 struct KernelClassStats {
   std::uint64_t calls = 0;
-  std::uint64_t time_us = 0;
+  std::uint64_t time_ns = 0;  ///< accumulated per call without rounding
+  std::uint64_t time_us = 0;  ///< time_ns / 1000
   std::uint64_t flops = 0;
 };
 
@@ -74,7 +75,7 @@ const char* task_class_name(const char* task_name);
 namespace detail {
 
 struct KernelSlot {
-  Counter* time_us;
+  Counter* time_ns;
   Counter* calls;
   Counter* flops;
 };
@@ -98,12 +99,12 @@ class KernelScope {
   ~KernelScope() {
     if (!active_) return;
     detail::in_kernel_flag() = false;
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start_)
                         .count();
     detail::KernelSlot& slot = detail::kernel_slot(class_);
     slot.calls->add(1);
-    slot.time_us->add(std::uint64_t(us));
+    slot.time_ns->add(std::uint64_t(ns));
     if (flops_ > 0) slot.flops->add(flops_);
   }
 

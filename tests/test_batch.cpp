@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "api/batch.hpp"
 #include "core/batch.hpp"
 #include "gen/generators.hpp"
+#include "kernels/workspace.hpp"
 #include "runtime/audit.hpp"
 #include "runtime/engine.hpp"
 #include "serve/service.hpp"
@@ -102,6 +105,37 @@ TEST(BatchPlanning, ScratchEstimateIsPositiveAndMonotonicInTile) {
   EXPECT_GT(big, small);
   EXPECT_GT(core::chunk_scratch_bytes_f32(64, 16), 0u);
   EXPECT_EQ(core::chunk_scratch_bytes_f64(0, 16), 0u);
+}
+
+TEST(BatchPlanning, ScratchEstimateCoversAnAllQrChunk) {
+  // The compact-WY applies stage the most scratch of any step (W, dense V,
+  // dense T and op(T) W, plus the pack panels). A chunk that reserves the
+  // estimate up front must then factor every member without growing the
+  // arena, so the reserved room is trimmed to exactly the estimate first.
+  for (const auto& [n, nb] : {std::pair{96, 32}, std::pair{256, 64},
+                              std::pair{256, 128}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " nb=" << nb);
+    const Solver solver(SolverConfig()
+                            .criterion(CriterionSpec::always_qr())
+                            .tile_size(nb)
+                            .backend(Backend::Serial));
+    const std::size_t estimate = core::chunk_scratch_bytes_f64(n, nb);
+    kern::Workspace ws;
+    kern::install_tls_workspace(&ws);
+    {
+      kern::Workspace::Frame frame(ws);
+      ws.reserve(estimate);
+      const std::size_t reserved = ws.bytes_reserved();
+      const std::size_t room = (estimate + 63) / 64 * 64;
+      ASSERT_GE(reserved, room);
+      if (reserved > room) ws.alloc<std::byte>(reserved - room);
+      for (int i = 0; i < 3; ++i)
+        (void)solver.factor(gen::generate(gen::MatrixKind::Random, n, 4100 + i));
+      EXPECT_EQ(ws.bytes_reserved(), reserved)
+          << "estimate " << estimate << " bytes is short";
+    }
+    kern::install_tls_workspace(nullptr);
+  }
 }
 
 TEST(BatchPlanning, BatchOptionsValidateOnSet) {

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "kernels/lapack.hpp"
 #include "obs/export.hpp"
 #include "obs/kprof.hpp"
 #include "obs/metrics.hpp"
@@ -282,6 +283,22 @@ TEST(ObsKprof, SolveIncrementsKernelCounters) {
   }
   EXPECT_GT(call_delta, 0u);  // a 96x96 tiled solve dispatches many kernels
   EXPECT_GE(time_after, time_before);
+}
+
+TEST(ObsKprof, SubMicrosecondCallsAccumulateNanoseconds) {
+  if (!kernel_profiler_enabled()) GTEST_SKIP() << "LUQR_KPROF=0 in environment";
+  // A 4 x 4 row swap takes tens of nanoseconds. Truncating each call to
+  // whole microseconds would record zero time however many calls ran.
+  Matrix<double> a = random_matrix(4, 4, 7003);
+  const std::vector<int> piv{1, 3, 2, 3};
+  const auto laswp_slot = static_cast<std::size_t>(KernelClass::Laswp);
+  const KernelClassStats before = kernel_profile()[laswp_slot];
+  constexpr int kCalls = 300;
+  for (int i = 0; i < kCalls; ++i) kern::laswp(a.view(), piv);
+  const KernelClassStats after = kernel_profile()[laswp_slot];
+  EXPECT_GE(after.calls - before.calls, std::uint64_t(kCalls));
+  EXPECT_GT(after.time_ns - before.time_ns, 0u);
+  EXPECT_EQ(after.time_us, after.time_ns / 1000);
 }
 
 TEST(ObsKprof, ClassLabelsAreStable) {

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "kernels/lapack.hpp"
+#include "kernels/pack.hpp"
 #include "kernels/reference.hpp"
 #include "test_helpers.hpp"
 #include "verify/verify.hpp"
@@ -14,8 +17,11 @@
 namespace luqr::kern {
 namespace {
 
+using luqr::testing::convert;
+using luqr::testing::expect_bitwise_equal;
 using luqr::testing::expect_near;
 using luqr::testing::random_matrix;
+using luqr::testing::with_garbage_below_diagonal;
 
 class GeqrtShapes : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -154,6 +160,73 @@ TEST(GeqrtFloat, SinglePrecision) {
   for (int j = 0; j < n; ++j)
     for (int i = j + 1; i < m; ++i) EXPECT_NEAR(c(i, j), 0.0f, 1e-4f);
 }
+
+// ---------------------------------------------------------------------------
+// Blocked UNMQR branch (nb x n products above the GEMM dispatch threshold):
+// all three compact-WY products run as packed GEMMs on densified V and T.
+// ---------------------------------------------------------------------------
+
+// (nb, RHS width n, Trans::Yes?)
+class UnmqrBlocked
+    : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
+
+template <typename T>
+void check_unmqr_blocked(int nb, int n, Trans trans, double tol) {
+  SCOPED_TRACE(::testing::Message()
+               << "nb=" << nb << " n=" << n << " trans="
+               << (trans == Trans::Yes ? "Yes" : "No") << " bytes=" << sizeof(T));
+  ASSERT_TRUE(gemm_wants_blocked(nb, n, nb)) << "case misses the blocked branch";
+  Matrix<T> v = convert<T>(random_matrix(nb, nb, 7100 + nb));
+  Matrix<T> t(nb, nb);
+  geqrt(v.view(), t.view());
+  const Matrix<T> c0 = convert<T>(random_matrix(nb, n, 7200 + n));
+
+  Matrix<T> got = c0;
+  unmqr(trans, v.cview(), t.cview(), got.view());
+
+  // Against the explicitly accumulated Q.
+  const Matrix<T> q = q_from_geqrt(v.cview(), t.cview());
+  Matrix<T> want(nb, n);
+  ref_gemm(trans, Trans::No, T(1), q.cview(), c0.cview(), T(0), want.view());
+  EXPECT_LE(static_cast<double>(max_abs_diff(got.cview(), want.cview())), tol)
+      << "blocked unmqr vs explicit Q";
+
+  // Against the small-tile loops: one column at a time falls below the
+  // dispatch threshold, and the apply acts on each column independently.
+  if (!gemm_wants_blocked(nb, 1, nb)) {
+    Matrix<T> small = c0;
+    for (int j = 0; j < n; ++j)
+      unmqr(trans, v.cview(), t.cview(), small.view().col(j));
+    EXPECT_LE(static_cast<double>(max_abs_diff(got.cview(), small.cview())), tol)
+        << "blocked unmqr vs small-tile loops";
+  }
+
+  // Only T's upper triangle is read: garbage below it changes no bit.
+  const Matrix<T> t_dirty =
+      with_garbage_below_diagonal(t, std::numeric_limits<T>::quiet_NaN());
+  Matrix<T> dirty = c0;
+  unmqr(trans, v.cview(), t_dirty.cview(), dirty.view());
+  expect_bitwise_equal(dirty, got, "garbage below T's diagonal");
+}
+
+TEST_P(UnmqrBlocked, MatchesExplicitQAndSmallTileLoops) {
+  const auto [nb, width, yes] = GetParam();
+  const int n = width == 0 ? nb : width;
+  const Trans trans = yes ? Trans::Yes : Trans::No;
+  check_unmqr_blocked<double>(nb, n, trans, 1e-12);
+  check_unmqr_blocked<float>(nb, n, trans, 1e-4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, UnmqrBlocked,
+    ::testing::Combine(::testing::Values(24, 64, 128), ::testing::Values(0, 40),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      const int nb = std::get<0>(info.param);
+      const int n = std::get<1>(info.param) == 0 ? nb : std::get<1>(info.param);
+      return "nb" + std::to_string(nb) + "_n" + std::to_string(n) +
+             (std::get<2>(info.param) ? "_Trans" : "_NoTrans");
+    });
 
 }  // namespace
 }  // namespace luqr::kern

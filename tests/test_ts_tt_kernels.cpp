@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <tuple>
 
 #include "kernels/lapack.hpp"
+#include "kernels/pack.hpp"
 #include "kernels/reference.hpp"
 #include "test_helpers.hpp"
 #include "verify/verify.hpp"
@@ -14,13 +18,17 @@
 namespace luqr::kern {
 namespace {
 
+using luqr::testing::convert;
+using luqr::testing::expect_bitwise_equal;
 using luqr::testing::expect_near;
 using luqr::testing::random_matrix;
 using luqr::testing::random_upper;
+using luqr::testing::with_garbage_below_diagonal;
 
 // Stack [top; bottom] into one dense matrix.
-Matrix<double> stack(const Matrix<double>& top, const Matrix<double>& bottom) {
-  Matrix<double> s(top.rows() + bottom.rows(), top.cols());
+template <typename T>
+Matrix<T> stack(const Matrix<T>& top, const Matrix<T>& bottom) {
+  Matrix<T> s(top.rows() + bottom.rows(), top.cols());
   for (int j = 0; j < top.cols(); ++j) {
     for (int i = 0; i < top.rows(); ++i) s(i, j) = top(i, j);
     for (int i = 0; i < bottom.rows(); ++i) s(top.rows() + i, j) = bottom(i, j);
@@ -209,6 +217,110 @@ TEST(TsqrtFloat, SinglePrecisionRoundtrip) {
   for (int j = 0; j < ncols; ++j)
     for (int i = 0; i < nb; ++i) EXPECT_NEAR(c1(i, j), c1o(i, j), 1e-4f);
 }
+
+// ---------------------------------------------------------------------------
+// Blocked TSMQR/TTMQR branch (nb x n products above the GEMM dispatch
+// threshold): op(T) Z runs as a packed GEMM on the densified T factor.
+// ---------------------------------------------------------------------------
+
+enum class Stacked { Ts, Tt };
+
+// (nb, RHS width n or 0 for n = nb, Trans::Yes?)
+class StackedApplyBlocked
+    : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
+
+// Factor a TS (square V) or TT (upper-triangular V) stacked pair of order nb
+// in precision T, then check the blocked apply of its Q to a random [C1; C2]
+// of width n against the explicit stacked Q, against the small-tile loops
+// and with garbage below the diagonal of T.
+template <typename T>
+void check_stacked_apply_blocked(Stacked kind, int nb, int n, Trans trans,
+                                 double tol) {
+  SCOPED_TRACE(::testing::Message()
+               << (kind == Stacked::Ts ? "tsmqr" : "ttmqr") << " nb=" << nb
+               << " n=" << n << " trans=" << (trans == Trans::Yes ? "Yes" : "No")
+               << " bytes=" << sizeof(T));
+  ASSERT_TRUE(gemm_wants_blocked(nb, n, nb)) << "case misses the blocked branch";
+  Matrix<T> r = convert<T>(random_upper(nb, 7300 + nb));
+  Matrix<T> v = convert<T>(kind == Stacked::Ts ? random_matrix(nb, nb, 7400 + nb)
+                                               : random_upper(nb, 7400 + nb));
+  Matrix<T> t(nb, nb);
+  const auto apply = [&](const Matrix<T>& tf, Matrix<T>& c1, Matrix<T>& c2,
+                         int j0, int width) {
+    MatrixView<T> c1v = c1.view().block(0, j0, nb, width);
+    MatrixView<T> c2v = c2.view().block(0, j0, nb, width);
+    if (kind == Stacked::Ts) {
+      tsmqr(trans, v.cview(), tf.cview(), c1v, c2v);
+    } else {
+      ttmqr(trans, v.cview(), tf.cview(), c1v, c2v);
+    }
+  };
+  Matrix<T> q;
+  if (kind == Stacked::Ts) {
+    tsqrt(r.view(), v.view(), t.view());
+    q = q_from_tsqrt(v.cview(), t.cview(), nb);
+  } else {
+    ttqrt(r.view(), v.view(), t.view());
+    q = q_from_ttqrt(v.cview(), t.cview(), nb);
+  }
+  const Matrix<T> c1_0 = convert<T>(random_matrix(nb, n, 7500 + n));
+  const Matrix<T> c2_0 = convert<T>(random_matrix(nb, n, 7600 + n));
+
+  Matrix<T> c1 = c1_0, c2 = c2_0;
+  apply(t, c1, c2, 0, n);
+  const Matrix<T> got = stack(c1, c2);
+
+  // Against the explicitly accumulated stacked Q.
+  const Matrix<T> c_stack = stack(c1_0, c2_0);
+  Matrix<T> want(2 * nb, n);
+  ref_gemm(trans, Trans::No, T(1), q.cview(), c_stack.cview(), T(0), want.view());
+  EXPECT_LE(static_cast<double>(max_abs_diff(got.cview(), want.cview())), tol)
+      << "blocked apply vs explicit stacked Q";
+
+  // Against the small-tile loops: one column at a time falls below the
+  // dispatch threshold, and the apply acts on each column independently.
+  if (!gemm_wants_blocked(nb, 1, nb)) {
+    Matrix<T> s1 = c1_0, s2 = c2_0;
+    for (int j = 0; j < n; ++j) apply(t, s1, s2, j, 1);
+    const Matrix<T> small = stack(s1, s2);
+    EXPECT_LE(static_cast<double>(max_abs_diff(got.cview(), small.cview())), tol)
+        << "blocked apply vs small-tile loops";
+  }
+
+  // Only T's upper triangle is read: garbage below it changes no bit.
+  const Matrix<T> t_dirty =
+      with_garbage_below_diagonal(t, std::numeric_limits<T>::quiet_NaN());
+  Matrix<T> d1 = c1_0, d2 = c2_0;
+  apply(t_dirty, d1, d2, 0, n);
+  expect_bitwise_equal(stack(d1, d2), got, "garbage below T's diagonal");
+}
+
+TEST_P(StackedApplyBlocked, TsmqrMatchesExplicitQAndSmallTileLoops) {
+  const auto [nb, width, yes] = GetParam();
+  const int n = width == 0 ? nb : width;
+  const Trans trans = yes ? Trans::Yes : Trans::No;
+  check_stacked_apply_blocked<double>(Stacked::Ts, nb, n, trans, 1e-12);
+  check_stacked_apply_blocked<float>(Stacked::Ts, nb, n, trans, 1e-4);
+}
+
+TEST_P(StackedApplyBlocked, TtmqrMatchesExplicitQAndSmallTileLoops) {
+  const auto [nb, width, yes] = GetParam();
+  const int n = width == 0 ? nb : width;
+  const Trans trans = yes ? Trans::Yes : Trans::No;
+  check_stacked_apply_blocked<double>(Stacked::Tt, nb, n, trans, 1e-12);
+  check_stacked_apply_blocked<float>(Stacked::Tt, nb, n, trans, 1e-4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, StackedApplyBlocked,
+    ::testing::Combine(::testing::Values(24, 64, 128), ::testing::Values(0, 40),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      const int nb = std::get<0>(info.param);
+      const int n = std::get<1>(info.param) == 0 ? nb : std::get<1>(info.param);
+      return "nb" + std::to_string(nb) + "_n" + std::to_string(n) +
+             (std::get<2>(info.param) ? "_Trans" : "_NoTrans");
+    });
 
 }  // namespace
 }  // namespace luqr::kern

@@ -238,9 +238,9 @@ int main(int argc, char** argv) {
       double busy = 0.0;
       std::uint64_t calls_total = 0;
       for (int c = 0; c < obs::kKernelClassCount; ++c) {
-        busy += static_cast<double>(prof_after[static_cast<std::size_t>(c)].time_us -
-                                    prof_before[static_cast<std::size_t>(c)].time_us) *
-                1e-6;
+        busy += static_cast<double>(prof_after[static_cast<std::size_t>(c)].time_ns -
+                                    prof_before[static_cast<std::size_t>(c)].time_ns) *
+                1e-9;
         calls_total += prof_after[static_cast<std::size_t>(c)].calls -
                        prof_before[static_cast<std::size_t>(c)].calls;
       }
@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
         const auto& b1 = prof_after[static_cast<std::size_t>(c)];
         const std::uint64_t calls = b1.calls - b0.calls;
         if (calls == 0) continue;
-        const double secs = static_cast<double>(b1.time_us - b0.time_us) * 1e-6;
+        const double secs = static_cast<double>(b1.time_ns - b0.time_ns) * 1e-9;
         const double flops = static_cast<double>(b1.flops - b0.flops);
         std::printf("  %-10s %10llu %10.4f %6.1f%% %9.2f\n",
                     obs::kernel_class_label(static_cast<obs::KernelClass>(c)),

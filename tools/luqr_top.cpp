@@ -282,7 +282,7 @@ void render(const Frame& f, const Frame* prev, const std::string& path) {
   std::printf("luqr_top — %s\n", path.c_str());
 
   // -- kernels ------------------------------------------------------------
-  auto kit = f.counters.find("luqr_kernel_time_us_total");
+  auto kit = f.counters.find("luqr_kernel_time_ns_total");
   if (kit != f.counters.end()) {
     struct Row {
       std::string cls;
@@ -293,7 +293,7 @@ void render(const Frame& f, const Frame* prev, const std::string& path) {
       auto l = s.labels.find("class");
       if (l == s.labels.end()) continue;
       rows[l->second].cls = l->second;
-      rows[l->second].time_us = s.value;
+      rows[l->second].time_us = s.value * 1e-3;
     }
     const auto fill = [&](const char* name, double Row::*field) {
       auto it = f.counters.find(name);
