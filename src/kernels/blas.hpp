@@ -77,8 +77,8 @@ void trsm_unblocked(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
                     ConstMatrixView<T> a, MatrixView<T> b);
 
 /// B <- alpha * op(A) * B (side == Left) or alpha * B * op(A) (side == Right)
-/// with A triangular. Used by the norm estimators, the small-tile branch of
-/// the compact-WY applies, and tests.
+/// with A triangular. Used by the norm estimators, the small-tile loops of
+/// unmqr and ttmqr, and tests.
 template <typename T>
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
           ConstMatrixView<T> a, MatrixView<T> b);

@@ -247,9 +247,9 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
     // In-place dot form over the stored triangle, per column of B. The
     // traversal direction is chosen so each b(i, j) is overwritten only
     // after every element that reads it: op(A) upper -> descending reads /
-    // ascending writes, op(A) lower -> the reverse. The compact-WY applies
-    // use it for their op(T) * Z step on small tiles only (above the GEMM
-    // threshold they run that step as a packed GEMM, kernels/compact_wy.hpp);
+    // ascending writes, op(A) lower -> the reverse. unmqr and ttmqr use it
+    // for their op(T) * Z step on small tiles only (above the GEMM threshold,
+    // and in tsmqr always, that step is a GEMM, kernels/compact_wy.hpp);
     // the inner loops are plain contiguous dots rather than a branchy
     // triangle lambda.
     const bool op_upper = (uplo == Uplo::Upper) == (trans == Trans::No);

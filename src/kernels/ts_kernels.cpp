@@ -3,7 +3,6 @@
 #include "kernels/access.hpp"
 #include "kernels/compact_wy.hpp"
 #include "kernels/lapack.hpp"
-#include "kernels/pack.hpp"
 #include "obs/kprof.hpp"
 
 namespace luqr::kern {
@@ -83,14 +82,8 @@ void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
   copy(ConstMatrixView<T>(c1), z);
   gemm(Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c2), T(1), z, &ws);
-  // Z <- op(T) Z: a packed GEMM on the densified T for big tiles, the
-  // in-place TRMM for small ones.
-  if (gemm_wants_blocked(nb, n, m)) {
-    z = apply_t_factor(trans, t, ConstMatrixView<T>(z), ws);
-  } else {
-    trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-         t.block(0, 0, nb, nb), z);
-  }
+  // Z <- op(T) Z, a GEMM on the densified T like the two V products.
+  z = apply_t_factor(trans, t, ConstMatrixView<T>(z), ws);
   // C1 -= Z ; C2 -= V Z.
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);

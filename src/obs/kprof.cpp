@@ -90,7 +90,6 @@ KernelProfile kernel_profile() {
     const detail::KernelSlot& slot = detail::kernel_slot(KernelClass(i));
     prof[size_t(i)].calls = slot.calls->value();
     prof[size_t(i)].time_ns = slot.time_ns->value();
-    prof[size_t(i)].time_us = prof[size_t(i)].time_ns / 1000;
     prof[size_t(i)].flops = slot.flops->value();
   }
   return prof;

@@ -58,7 +58,6 @@ bool kernel_profiler_enabled();
 struct KernelClassStats {
   std::uint64_t calls = 0;
   std::uint64_t time_ns = 0;  ///< accumulated per call without rounding
-  std::uint64_t time_us = 0;  ///< time_ns / 1000
   std::uint64_t flops = 0;
 };
 
