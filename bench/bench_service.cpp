@@ -3,7 +3,10 @@
 // Reports (and emits via --json <path>, bench_common.hpp schema):
 //   - cold request latency: factor + solve of a never-seen matrix
 //   - cache-hit request latency: same matrix again (factor skipped)
-//   - their ratio (the factor-once-solve-many win; CI asserts a floor)
+//   - their ratio (the factor-once-solve-many win), in the all-LU regime
+//     (CI asserts a floor) and again in the all-QR regime (_qr rows, no
+//     floor: its cold request varies too much), where a cache hit replays
+//     the orthogonal applies on the RHS
 //   - batched vs individual throughput for many small solves on one matrix
 //   - a mixed multi-client stress summary (jobs/s, p50/p99)
 //
@@ -20,9 +23,10 @@ using namespace luqr;
 
 namespace {
 
-serve::ServiceConfig service_config(int nb, int threads = 0) {
+serve::ServiceConfig service_config(
+    int nb, int threads = 0, CriterionSpec criterion = CriterionSpec::max(100.0)) {
   serve::ServiceConfig cfg;
-  cfg.solver = SolverConfig().criterion(CriterionSpec::max(100.0)).tile_size(nb);
+  cfg.solver = SolverConfig().criterion(criterion).tile_size(nb);
   cfg.threads = threads;
   return cfg;
 }
@@ -32,6 +36,34 @@ double solve_once_seconds(serve::SolveService& svc, const Matrix<double>& a,
   Timer t;
   (void)svc.submit_solve(a, b).get();
   return t.seconds();
+}
+
+struct ColdWarm {
+  double cold = 1e30;  ///< best factor + solve of a never-seen matrix (s)
+  double warm = 1e30;  ///< best cache-hit solve of one primed matrix (s)
+};
+
+// Cold vs cache-hit single-RHS request latency for `kind` matrices under
+// `criterion`.
+ColdWarm cold_vs_cache_hit(const bench::Config& c, gen::MatrixKind kind,
+                           CriterionSpec criterion) {
+  const int n = c.n_max;
+  ColdWarm r;
+  serve::SolveService svc(service_config(c.nb, 0, criterion));
+  const auto b = bench::rhs_for(n);
+  // Cold: a never-seen matrix per sample (each pays factor + solve).
+  for (int s = 0; s < c.samples; ++s) {
+    const auto a = gen::generate(kind, n, 5000 + static_cast<std::uint64_t>(s));
+    r.cold = std::min(r.cold, solve_once_seconds(svc, a, b));
+  }
+  // Warm: one matrix, repeatedly (first request primes the cache).
+  const auto a = gen::generate(kind, n, 4242);
+  (void)svc.submit_solve(a, b).get();
+  for (int s = 0; s < 5 * c.samples; ++s)
+    r.warm = std::min(r.warm, solve_once_seconds(svc, a, b));
+  if (svc.stats().cache.hits == 0)
+    std::fprintf(stderr, "warning: no cache hits?!\n");
+  return r;
 }
 
 }  // namespace
@@ -48,33 +80,31 @@ int main(int argc, char** argv) {
 
   // -- cold vs cache-hit latency ------------------------------------------
   // Diagonally dominant systems: the all-LU regime, where a cache hit
-  // replays through the exact-width wide panel (O(n^2) work) while a cold
-  // request pays the O(n^3) factorization — the factor-once-solve-many
-  // contrast the cache exists for.
-  double cold = 1e30, warm = 1e30;
-  {
-    serve::SolveService svc(service_config(c.nb));
-    const auto b = bench::rhs_for(n);
-    // Cold: a never-seen matrix per sample (each pays factor + solve).
-    for (int s = 0; s < c.samples; ++s) {
-      const auto a = gen::generate(gen::MatrixKind::DiagDominant, n,
-                                   5000 + static_cast<std::uint64_t>(s));
-      cold = std::min(cold, solve_once_seconds(svc, a, b));
-    }
-    // Warm: one matrix, repeatedly (first request primes the cache).
-    const auto a = gen::generate(gen::MatrixKind::DiagDominant, n, 4242);
-    (void)svc.submit_solve(a, b).get();
-    for (int s = 0; s < 5 * c.samples; ++s)
-      warm = std::min(warm, solve_once_seconds(svc, a, b));
-    const serve::ServiceStats st = svc.stats();
-    if (st.cache.hits == 0) std::fprintf(stderr, "warning: no cache hits?!\n");
-  }
-  const double hit_speedup = cold / warm;
-  std::printf("cold  factor+solve   %8.3f ms\n", 1e3 * cold);
-  std::printf("warm  cache-hit      %8.3f ms   (%.1fx)\n", 1e3 * warm, hit_speedup);
-  report.row("cold_request").metric("ms", 1e3 * cold).metric("n", n);
-  report.row("cache_hit_request").metric("ms", 1e3 * warm).metric("n", n);
-  report.row("cache_hit_speedup").metric("speedup", hit_speedup).metric("n", n);
+  // replays swaps, TRSMs and GEMMs on the exact-width RHS (O(n^2) work)
+  // while a cold request pays the O(n^3) factorization — the
+  // factor-once-solve-many contrast the cache exists for. The QR regime
+  // (random systems, every step QR) prices the orthogonal applies of the
+  // replay as well.
+  const ColdWarm lu = cold_vs_cache_hit(c, gen::MatrixKind::DiagDominant,
+                                        CriterionSpec::max(100.0));
+  const ColdWarm qr = cold_vs_cache_hit(c, gen::MatrixKind::Random,
+                                        CriterionSpec::always_qr());
+  const auto report_cold_warm = [&](const std::string& suffix, ColdWarm cw) {
+    const double hit_speedup = cw.cold / cw.warm;
+    std::printf("cold  factor+solve%-3s %8.3f ms\n", suffix.c_str(),
+                1e3 * cw.cold);
+    std::printf("warm  cache-hit%-3s    %8.3f ms   (%.1fx)\n", suffix.c_str(),
+                1e3 * cw.warm, hit_speedup);
+    report.row("cold_request" + suffix).metric("ms", 1e3 * cw.cold).metric("n", n);
+    report.row("cache_hit_request" + suffix)
+        .metric("ms", 1e3 * cw.warm)
+        .metric("n", n);
+    report.row("cache_hit_speedup" + suffix)
+        .metric("speedup", hit_speedup)
+        .metric("n", n);
+  };
+  report_cold_warm("", lu);
+  report_cold_warm("_qr", qr);
 
   // -- batched vs individual small solves ---------------------------------
   {

@@ -35,24 +35,20 @@ namespace luqr::core {
 /// How Factorization::solve carries a multi-column right-hand side through
 /// the transformation replay and the back-substitution.
 enum class RhsPath {
-  /// WideBlocked whenever it saves work: any multi-column RHS, and every
-  /// width (including a single column) on plain-LU/A1 factorizations. The
-  /// default. Always bitwise-equal to PerTileColumn.
+  /// The default. All RHS columns ride in one dense panel of exactly
+  /// b.cols() columns: every kernel of the replay and the back-substitution
+  /// (swaps, TRSM, GEMM and the orthogonal applies UNMQR/TSMQR/TTMQR) runs
+  /// once per tile (pair) at the full RHS width. A single-RHS cache-hit
+  /// solve costs O(n^2) work for every LU/QR mix, and a batch of RHS runs
+  /// fewer, bigger products (the batched-solve path of the serve
+  /// subsystem). Every kernel picks its implementation without looking at
+  /// the RHS width and treats columns independently, so the result is
+  /// bitwise-equal to PerTileColumn.
   Auto,
-  /// One nb-wide tile column at a time — the historical layout, and the one
-  /// whose arithmetic matches the fused-RHS driver tile for tile.
+  /// One nb-wide tile column at a time, a single column padded to a whole
+  /// tile: the tile-for-tile layout of the fused-RHS driver. Kept as the
+  /// reference the tests compare Auto against.
   PerTileColumn,
-  /// All RHS columns ride in one dense panel: each trailing GEMM of the
-  /// replay and the back-substitution runs once per tile pair at the full
-  /// panel width through the same kernel the per-tile-column dispatch picks
-  /// (fewer, bigger products — the batched-solve path of the serve
-  /// subsystem). On LU/A1-only factorizations the panel is the exact RHS
-  /// width, which turns a single-RHS cache-hit solve from O(n^2 nb) into
-  /// O(n^2) work; factorizations with QR or block-LU steps pad to whole
-  /// tiles and walk their orthogonal applies (UNMQR/TSMQR/TTMQR) in
-  /// nb-wide slices, so every such kernel call keeps the exact shape (and
-  /// hence bits) of the per-tile-column path.
-  WideBlocked,
 };
 
 /// The precision-generic retained factorization: factored tiles, transform
@@ -102,8 +98,8 @@ class FactorizationT {
   /// Apply the recorded row transformations of all steps to a tiled RHS.
   void apply_transformations(TileMatrix<T>& b) const;
 
-  /// WideBlocked internals: replay / back-substitute on one dense panel
-  /// holding every RHS column (rows padded to whole tiles).
+  /// Auto internals: replay / back-substitute on one dense panel holding
+  /// every RHS column (rows padded to whole tiles).
   void apply_transformations_wide(Matrix<T>& wb) const;
   void solve_triangular_wide(Matrix<T>& wb) const;
 

@@ -7,6 +7,13 @@
 // stages one triangle into workspace with the other one written as zero, so
 // the triangular products of the compact-WY algebra run as packed GEMMs.
 // apply_t_factor is the op(T) W step of every blocked apply, built on it.
+//
+// The applies (unmqr, tsmqr, ttmqr) choose their kernel from the tile
+// shape — V's order and height, never C's width — and run every inner
+// product through that kernel (the GemmKernel overload of gemm), so one
+// RHS column goes through exactly the arithmetic it would see inside a
+// tile-wide call. The retained factorization's exact-width solve
+// (core/factorization.cpp) relies on this.
 #pragma once
 
 #include <algorithm>
@@ -41,18 +48,20 @@ MatrixView<T> densify_triangle(Uplo uplo, Diag diag, ConstMatrixView<T> src,
 
 /// W2 = op(T) W for the k x k upper-triangular block-reflector factor T of a
 /// compact-WY transform (only its upper triangle is read) and a k x n W, as
-/// one packed GEMM on a densified copy of T. W2 comes from ws and lives
-/// until the caller's Frame closes. Above the GEMM dispatch threshold this
-/// beats the in-place TRMM several times over: the TRMM is a chain of
+/// one GEMM through `kernel` on a densified copy of T. W2 comes from ws and
+/// lives until the caller's Frame closes. Above the GEMM dispatch threshold
+/// this beats the in-place TRMM several times over: the TRMM is a chain of
 /// dependent scalar dots, and the densify costs one k x k copy.
 template <typename T>
-MatrixView<T> apply_t_factor(Trans trans, ConstMatrixView<T> t,
-                             ConstMatrixView<T> w, Workspace& ws) {
+MatrixView<T> apply_t_factor(GemmKernel kernel, Trans trans,
+                             ConstMatrixView<T> t, ConstMatrixView<T> w,
+                             Workspace& ws) {
   const int k = w.rows, n = w.cols;
   const MatrixView<T> td =
       densify_triangle(Uplo::Upper, Diag::NonUnit, t.block(0, 0, k, k), ws);
   MatrixView<T> w2(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
-  gemm(trans, Trans::No, T(1), ConstMatrixView<T>(td), w, T(0), w2, &ws);
+  gemm(kernel, trans, Trans::No, T(1), ConstMatrixView<T>(td), w, T(0), w2,
+       &ws);
   return w2;
 }
 

@@ -181,8 +181,9 @@ void gemm_blocked(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
 }
 
 template <typename T>
-void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
-          ConstMatrixView<T> b, T beta, MatrixView<T> c, Workspace* ws) {
+void gemm(GemmKernel kernel, Trans transa, Trans transb, T alpha,
+          ConstMatrixView<T> a, ConstMatrixView<T> b, T beta, MatrixView<T> c,
+          Workspace* ws) {
   // Audited-task footprint report (no-op without an installed listener).
   note_read(a);
   note_read(b);
@@ -190,7 +191,7 @@ void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
   const int k = transa == Trans::No ? a.cols : a.rows;
   obs::KernelScope prof(obs::KernelClass::Gemm,
                         obs::gemm_model_flops(c.rows, c.cols, k));
-  if (gemm_wants_blocked(c.rows, c.cols, k)) {
+  if (kernel == GemmKernel::Blocked) {
     gemm_blocked(transa, transb, alpha, a, b, beta, c, ws);
   } else {
     gemm_unblocked(transa, transb, alpha, a, b, beta, c);
@@ -199,6 +200,14 @@ void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
   // layers must detect the non-finite result, never cache it, and recover.
   if (fault::should_fire(fault::site::kGemmNan) && c.rows > 0 && c.cols > 0)
     c(0, 0) = std::numeric_limits<T>::quiet_NaN();
+}
+
+template <typename T>
+void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
+          ConstMatrixView<T> b, T beta, MatrixView<T> c, Workspace* ws) {
+  const int k = transa == Trans::No ? a.cols : a.rows;
+  gemm(gemm_kernel_for(c.rows, c.cols, k), transa, transb, alpha, a, b, beta,
+       c, ws);
 }
 
 template <typename T>
@@ -224,6 +233,8 @@ std::size_t gemm_pack_scratch_bytes(int m, int n, int k) {
 #define LUQR_INST(T)                                                          \
   template std::size_t gemm_pack_scratch_bytes<T>(int, int, int);             \
   template void gemm<T>(Trans, Trans, T, ConstMatrixView<T>,                  \
+                        ConstMatrixView<T>, T, MatrixView<T>, Workspace*);    \
+  template void gemm<T>(GemmKernel, Trans, Trans, T, ConstMatrixView<T>,      \
                         ConstMatrixView<T>, T, MatrixView<T>, Workspace*);    \
   template void gemm_blocked<T>(Trans, Trans, T, ConstMatrixView<T>,          \
                                 ConstMatrixView<T>, T, MatrixView<T>,         \

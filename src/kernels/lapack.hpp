@@ -20,7 +20,9 @@
 // the calling thread's arena (each engine worker owns one). The apply
 // kernels (TSMQR/TTMQR/UNMQR) route all three products of the apply —
 // W = V^T C, W <- op(T) W and C -= V W — through the packed blocked GEMM
-// above the gemm dispatch threshold, reading only the upper triangle of T.
+// when the tile shape is above the gemm dispatch threshold, reading only
+// the upper triangle of T. The choice never depends on C's width, so each
+// column of C comes out bit-identical whatever the width of the call.
 #pragma once
 
 #include <vector>

@@ -26,6 +26,11 @@ bool gemm_wants_blocked(int m, int n, int k) {
          static_cast<long long>(gemm_blocking().small_mnk);
 }
 
+GemmKernel gemm_kernel_for(int m, int n, int k) {
+  return gemm_wants_blocked(m, n, k) ? GemmKernel::Blocked
+                                     : GemmKernel::Unblocked;
+}
+
 const PanelBlocking& panel_blocking() {
   static const PanelBlocking blocking = [] {
     PanelBlocking b;

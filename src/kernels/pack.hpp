@@ -45,6 +45,10 @@ const GemmBlocking& gemm_blocking();
 /// enough for the packed path to win over the simple loops.
 bool gemm_wants_blocked(int m, int n, int k);
 
+/// gemm()'s kernel for an (m x n x k) product: Blocked iff
+/// gemm_wants_blocked(m, n, k).
+GemmKernel gemm_kernel_for(int m, int n, int k);
+
 /// Blocking/dispatch knobs for the blocked panel factorizations (GETRF and
 /// GEQRT): the inner unblocked panel width, and the column count below which
 /// the kernels keep the seed's unblocked loops. Like the GEMM blocking these

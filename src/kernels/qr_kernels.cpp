@@ -118,8 +118,9 @@ void geqrt_blocked(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
       // loops would dominate the whole factorization (measured >50% of the
       // blocked kernel at nb = 128); two copies + packed GEMMs are far
       // cheaper.
-      const MatrixView<T> w2 = apply_t_factor(
-          Trans::No, ConstMatrixView<T>(t), ConstMatrixView<T>(w), ws);
+      const MatrixView<T> w2 =
+          apply_t_factor(gemm_kernel_for(j0, bb, j0), Trans::No,
+                         ConstMatrixView<T>(t), ConstMatrixView<T>(w), ws);
       const MatrixView<T> t2d = densify_triangle(
           Uplo::Upper, Diag::NonUnit, ConstMatrixView<T>(t22), ws);
       gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(w2),
@@ -157,17 +158,20 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   Workspace::Frame frame(ws);
   MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
 
-  if (gemm_wants_blocked(k, n, m)) {
+  // The kernel follows the reflector block (k reflectors of height m) as if
+  // C were k wide, never C's real width: see kernels/compact_wy.hpp.
+  if (gemm_wants_blocked(k, k, m)) {
     // Big tiles: materialize the unit-lower-trapezoidal V densely (the
     // upper triangle of its storage holds R and must read as zero, the
     // diagonal as one) so all three products of the compact-WY apply —
     // W = V^T C, W2 = op(T) W, C -= V W2 — are packed GEMMs.
     const MatrixView<T> vfull = densify_triangle(Uplo::Lower, Diag::Unit, v, ws);
-    gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(c), T(0), w, &ws);
-    const MatrixView<T> w2 = apply_t_factor(trans, t, ConstMatrixView<T>(w), ws);
-    gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(w2), T(1), c, &ws);
+    gemm(GemmKernel::Blocked, Trans::Yes, Trans::No, T(1),
+         ConstMatrixView<T>(vfull), ConstMatrixView<T>(c), T(0), w, &ws);
+    const MatrixView<T> w2 = apply_t_factor(GemmKernel::Blocked, trans, t,
+                                            ConstMatrixView<T>(w), ws);
+    gemm(GemmKernel::Blocked, Trans::No, Trans::No, T(-1),
+         ConstMatrixView<T>(vfull), ConstMatrixView<T>(w2), T(1), c, &ws);
     return;
   }
 

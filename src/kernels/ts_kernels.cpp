@@ -3,6 +3,7 @@
 #include "kernels/access.hpp"
 #include "kernels/compact_wy.hpp"
 #include "kernels/lapack.hpp"
+#include "kernels/pack.hpp"
 #include "obs/kprof.hpp"
 
 namespace luqr::kern {
@@ -78,16 +79,21 @@ void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   if (n == 0) return;
   Workspace& ws = workspace_or_tls(wsp);
   Workspace::Frame frame(ws);
+  // All three products run through the kernel of an nb-wide C, whatever
+  // C's real width (see kernels/compact_wy.hpp).
+  const GemmKernel kernel = gemm_kernel_for(nb, nb, m);
   // Z = C1 + V^T C2  (the stacked reflectors are [I; V]).
   MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
   copy(ConstMatrixView<T>(c1), z);
-  gemm(Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c2), T(1), z, &ws);
+  gemm(kernel, Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c2), T(1), z,
+       &ws);
   // Z <- op(T) Z, a GEMM on the densified T like the two V products.
-  z = apply_t_factor(trans, t, ConstMatrixView<T>(z), ws);
+  z = apply_t_factor(kernel, trans, t, ConstMatrixView<T>(z), ws);
   // C1 -= Z ; C2 -= V Z.
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);
-  gemm(Trans::No, Trans::No, T(-1), v, ConstMatrixView<T>(z), T(1), c2, &ws);
+  gemm(kernel, Trans::No, Trans::No, T(-1), v, ConstMatrixView<T>(z), T(1), c2,
+       &ws);
 }
 
 #define LUQR_INST(T)                                                      \

@@ -83,7 +83,9 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
   copy(ConstMatrixView<T>(c1), z);
 
-  if (gemm_wants_blocked(nb, n, nb)) {
+  // The kernel follows the tile order, as if C were nb wide, never C's real
+  // width (see kernels/compact_wy.hpp).
+  if (gemm_wants_blocked(nb, nb, nb)) {
     // Big tiles: materialize the triangular V as a dense tile (the storage
     // below its diagonal belongs to earlier reflectors and must read as
     // zero) and ride the packed GEMM for all three products, V^T C2, op(T) Z
@@ -93,14 +95,15 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
     const MatrixView<T> vfull =
         densify_triangle(Uplo::Upper, Diag::NonUnit, v, ws);
     // Z = C1 + V^T C2.
-    gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(c2), T(1), z, &ws);
-    z = apply_t_factor(trans, t, ConstMatrixView<T>(z), ws);
+    gemm(GemmKernel::Blocked, Trans::Yes, Trans::No, T(1),
+         ConstMatrixView<T>(vfull), ConstMatrixView<T>(c2), T(1), z, &ws);
+    z = apply_t_factor(GemmKernel::Blocked, trans, t, ConstMatrixView<T>(z),
+                       ws);
     // C1 -= Z ; C2 -= V Z.
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);
-    gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(z), T(1), c2, &ws);
+    gemm(GemmKernel::Blocked, Trans::No, Trans::No, T(-1),
+         ConstMatrixView<T>(vfull), ConstMatrixView<T>(z), T(1), c2, &ws);
     return;
   }
 

@@ -12,7 +12,7 @@
 // on the same matrix are deduplicated through a pending-factorization map
 // (one factor run, everyone else attaches), and submit_batch fuses many
 // independent right-hand sides against one matrix into a single wide solve
-// (Factorization's WideBlocked path) instead of N engine round-trips.
+// (Factorization's wide RHS panel) instead of N engine round-trips.
 //
 //   serve::ServiceConfig cfg;
 //   cfg.solver.criterion(CriterionSpec::max(100.0)).tile_size(64);

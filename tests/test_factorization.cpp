@@ -6,9 +6,12 @@
 
 #include <cmath>
 
+#include "api/solver.hpp"
 #include "core/factorization.hpp"
 #include "core/solve.hpp"
+#include "fault/fault.hpp"
 #include "gen/generators.hpp"
+#include "obs/kprof.hpp"
 #include "test_helpers.hpp"
 #include "verify/verify.hpp"
 
@@ -136,8 +139,8 @@ TEST(Factorization, RefinementIsNoOpOnAccurateSolve) {
   EXPECT_LT(verify::max_abs_error(x0, x1), 1e-12);
 }
 
-TEST(Factorization, WideBlockedPathMatchesPerColumnBitwise) {
-  // The wide multi-RHS path runs every replay/back-substitution GEMM once
+TEST(Factorization, WidePathMatchesPerColumnBitwise) {
+  // The wide multi-RHS path runs every replay/back-substitution kernel once
   // at the full RHS width through the same kernel the per-tile-column
   // dispatch picks, so per-element arithmetic is bit-identical to the
   // per-tile-column layout at every width.
@@ -147,36 +150,65 @@ TEST(Factorization, WideBlockedPathMatchesPerColumnBitwise) {
   for (int cols : {1, 2, 3, 8, 32, 37, 64}) {
     const auto b = random_matrix(96, cols, 400 + cols);
     const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_wide = fac.solve(b, 0, RhsPath::WideBlocked);
-    const auto x_auto = fac.solve(b);  // Auto must pick the wide path here
-    ASSERT_EQ(x_wide.rows(), x_col.rows());
+    const auto x_auto = fac.solve(b);
+    ASSERT_EQ(x_auto.rows(), x_col.rows());
     for (int j = 0; j < cols; ++j)
-      for (int i = 0; i < 96; ++i) {
-        EXPECT_EQ(x_wide(i, j), x_col(i, j)) << i << "," << j;
+      for (int i = 0; i < 96; ++i)
         EXPECT_EQ(x_auto(i, j), x_col(i, j)) << i << "," << j;
-      }
   }
 }
 
-TEST(Factorization, WideBlockedPathQrStepsAndVariants) {
-  // QR steps replay through nb-wide orthogonal-apply slices on the wide
-  // panel; A2 exercises the diagonal UNMQR apply, B1/B2 the block-diagonal
-  // solves. All must match the per-column path bitwise (same-shape kernel
-  // calls, same inputs).
-  for (auto variant :
-       {LuVariant::A1, LuVariant::A2, LuVariant::B1, LuVariant::B2}) {
-    const auto a = gen::generate(gen::MatrixKind::Random, 64, 23);
-    const auto b = random_matrix(64, 5, 24);
-    HybridOptions opt;
-    opt.variant = variant;
-    MaxCriterion crit(variant == LuVariant::A1 ? 2.0 : 1e9);  // A1: mixed LU/QR
-    const auto fac = Factorization::compute(a, crit, 32, opt);
+TEST(Factorization, WidePathQrStepsAndVariants) {
+  // QR steps, A2's diagonal UNMQR and B2's block-diagonal UNMQR all replay
+  // at the exact RHS width on the wide panel; B1 exercises the block-
+  // diagonal LU solve. The applies pick their kernel from the tile shape,
+  // never the RHS width, so a single column runs the same arithmetic as
+  // inside an nb-wide tile — also at nb = 24 and 32, where one column's
+  // products fall below the GEMM threshold and a tile's do not.
+  for (int nb : {24, 32}) {
+    for (auto variant :
+         {LuVariant::A1, LuVariant::A2, LuVariant::B1, LuVariant::B2}) {
+      const auto a = gen::generate(gen::MatrixKind::Random, 120, 23);
+      HybridOptions opt;
+      opt.variant = variant;
+      RandomCriterion crit(0.5, 5);
+      const auto fac = Factorization::compute(a, crit, nb, opt);
+      ASSERT_GT(fac.stats().lu_steps, 0) << nb;
+      ASSERT_GT(fac.stats().qr_steps, 0) << nb;
+      for (int cols : {1, 2, 5}) {
+        const auto b = random_matrix(120, cols, 24 + cols);
+        const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
+        const auto x_auto = fac.solve(b);
+        for (int j = 0; j < cols; ++j)
+          for (int i = 0; i < 120; ++i)
+            ASSERT_EQ(x_auto(i, j), x_col(i, j))
+                << "nb=" << nb << " variant=" << static_cast<int>(variant)
+                << " cols=" << cols << " @ " << i << "," << j;
+        EXPECT_LT(verify::relative_residual(a, x_auto, b), 1e-10);
+      }
+    }
+  }
+}
+
+TEST(Factorization, WidePathF32MatchesPerColumnBitwise) {
+  // The reduced-precision handle forwards the path to its float engine;
+  // the width-independent applies hold in f32 as well.
+  const auto a = gen::generate(gen::MatrixKind::Random, 96, 31);
+  const Factorization fac =
+      Solver(SolverConfig()
+                 .criterion(CriterionSpec::random(0.5, 5))
+                 .tile_size(24)
+                 .precision(Precision::F32)
+                 .backend(Backend::Serial))
+          .factor(a);
+  ASSERT_GT(fac.stats().qr_steps, 0);
+  for (int cols : {1, 3}) {
+    const auto b = random_matrix(96, cols, 32 + cols);
     const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_wide = fac.solve(b, 0, RhsPath::WideBlocked);
-    for (int j = 0; j < 5; ++j)
-      for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(x_wide(i, j), x_col(i, j))
-            << static_cast<int>(variant) << " @ " << i << "," << j;
+    const auto x_auto = fac.solve(b);
+    for (int j = 0; j < cols; ++j)
+      for (int i = 0; i < 96; ++i)
+        ASSERT_EQ(x_auto(i, j), x_col(i, j)) << i << "," << j;
   }
 }
 
@@ -188,16 +220,15 @@ TEST(Factorization, WidePathRefinementAndPadding) {
   MaxCriterion crit(40.0);
   const auto fac = Factorization::compute(a, crit, 32, {});
   const auto x_col = fac.solve(b, 2, RhsPath::PerTileColumn);
-  const auto x_wide = fac.solve(b, 2, RhsPath::WideBlocked);
+  const auto x_auto = fac.solve(b, 2);
   for (int j = 0; j < 6; ++j)
-    for (int i = 0; i < 75; ++i) EXPECT_EQ(x_wide(i, j), x_col(i, j));
-  EXPECT_LT(verify::relative_residual(a, x_wide, b), 1e-12);
+    for (int i = 0; i < 75; ++i) EXPECT_EQ(x_auto(i, j), x_col(i, j));
+  EXPECT_LT(verify::relative_residual(a, x_auto, b), 1e-12);
 }
 
 TEST(Factorization, ExactWidthPanelOnAllLuFactorizations) {
-  // Diagonally dominant input + Max criterion: every step is LU/A1, so the
-  // wide panel is the exact RHS width (no tile padding) — including the
-  // serving-critical single-column case. Still bitwise vs per-column.
+  // Diagonally dominant input + Max criterion: every step is LU/A1, the
+  // serving-critical all-LU regime. Still bitwise vs per-column.
   const auto a = gen::generate(gen::MatrixKind::DiagDominant, 96, 33);
   MaxCriterion crit(100.0);
   const auto fac = Factorization::compute(a, crit, 32, {});
@@ -205,7 +236,7 @@ TEST(Factorization, ExactWidthPanelOnAllLuFactorizations) {
   for (int cols : {1, 3, 17}) {
     const auto b = random_matrix(96, cols, 700 + cols);
     const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_auto = fac.solve(b);  // Auto: exact-width wide panel
+    const auto x_auto = fac.solve(b);
     for (int j = 0; j < cols; ++j)
       for (int i = 0; i < 96; ++i) EXPECT_EQ(x_auto(i, j), x_col(i, j));
   }
@@ -230,10 +261,48 @@ TEST(Factorization, WidePathSmallTilesUnblockedMirror) {
   for (int cols : {1, 5, 48}) {
     const auto b = random_matrix(48, cols, 500 + cols);
     const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_wide = fac.solve(b, 0, RhsPath::WideBlocked);
+    const auto x_auto = fac.solve(b);
     for (int j = 0; j < cols; ++j)
-      for (int i = 0; i < 48; ++i) EXPECT_EQ(x_wide(i, j), x_col(i, j));
+      for (int i = 0; i < 48; ++i) EXPECT_EQ(x_auto(i, j), x_col(i, j));
   }
+}
+
+TEST(Factorization, SolveGemmsAreProfiled) {
+  // The exact-width solve's tile GEMMs go through the instrumented gemm
+  // entry point: a single-RHS solve of an all-LU factorization with mt
+  // tile rows runs mt(mt-1)/2 elimination GEMMs and as many back-
+  // substitution GEMMs.
+  const int mt = 4, nb = 16;
+  const auto a = gen::generate(gen::MatrixKind::DiagDominant, mt * nb, 41);
+  AlwaysLU crit;
+  const auto fac = Factorization::compute(a, crit, nb, {});
+  const auto b = random_matrix(mt * nb, 1, 42);
+  const auto gemm_calls = [] {
+    return obs::kernel_profile()[static_cast<int>(obs::KernelClass::Gemm)].calls;
+  };
+  const std::uint64_t before = gemm_calls();
+  (void)fac.solve(b);
+  EXPECT_EQ(gemm_calls() - before, static_cast<std::uint64_t>(mt * (mt - 1)));
+}
+
+TEST(Factorization, SolveGemmsReachTheFaultSite) {
+  // A poisoned solve GEMM must surface as a non-finite solution, the signal
+  // the serve layer's output screening keys on.
+  const auto a = gen::generate(gen::MatrixKind::DiagDominant, 64, 43);
+  AlwaysLU crit;
+  const auto fac = Factorization::compute(a, crit, 16, {});
+  const auto b = random_matrix(64, 1, 44);
+  fault::FaultPlan plan(3);
+  plan.arm({fault::site::kGemmNan, 1.0, /*max_fires=*/1});
+  Matrix<double> x;
+  {
+    fault::ScopedPlan guard(plan);
+    x = fac.solve(b);
+  }
+  EXPECT_EQ(plan.fires(fault::site::kGemmNan), 1u);
+  bool finite = true;
+  for (int i = 0; i < 64; ++i) finite = finite && std::isfinite(x(i, 0));
+  EXPECT_FALSE(finite);
 }
 
 TEST(Factorization, MemoryBytesAccountsForTilesAndLog) {

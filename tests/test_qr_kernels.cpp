@@ -162,8 +162,9 @@ TEST(GeqrtFloat, SinglePrecision) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked UNMQR branch (nb x n products above the GEMM dispatch threshold):
-// all three compact-WY products run as packed GEMMs on densified V and T.
+// Blocked UNMQR branch (nb x nb x nb products above the GEMM dispatch
+// threshold): all three compact-WY products run as packed GEMMs on
+// densified V and T.
 // ---------------------------------------------------------------------------
 
 // (nb, RHS width n, Trans::Yes?)
@@ -175,7 +176,7 @@ void check_unmqr_blocked(int nb, int n, Trans trans, double tol) {
   SCOPED_TRACE(::testing::Message()
                << "nb=" << nb << " n=" << n << " trans="
                << (trans == Trans::Yes ? "Yes" : "No") << " bytes=" << sizeof(T));
-  ASSERT_TRUE(gemm_wants_blocked(nb, n, nb)) << "case misses the blocked branch";
+  ASSERT_TRUE(gemm_wants_blocked(nb, nb, nb)) << "case misses the blocked branch";
   Matrix<T> v = convert<T>(random_matrix(nb, nb, 7100 + nb));
   Matrix<T> t(nb, nb);
   geqrt(v.view(), t.view());
@@ -191,16 +192,6 @@ void check_unmqr_blocked(int nb, int n, Trans trans, double tol) {
   EXPECT_LE(static_cast<double>(max_abs_diff(got.cview(), want.cview())), tol)
       << "blocked unmqr vs explicit Q";
 
-  // Against the small-tile loops: one column at a time falls below the
-  // dispatch threshold, and the apply acts on each column independently.
-  if (!gemm_wants_blocked(nb, 1, nb)) {
-    Matrix<T> small = c0;
-    for (int j = 0; j < n; ++j)
-      unmqr(trans, v.cview(), t.cview(), small.view().col(j));
-    EXPECT_LE(static_cast<double>(max_abs_diff(got.cview(), small.cview())), tol)
-        << "blocked unmqr vs small-tile loops";
-  }
-
   // Only T's upper triangle is read: garbage below it changes no bit.
   const Matrix<T> t_dirty =
       with_garbage_below_diagonal(t, std::numeric_limits<T>::quiet_NaN());
@@ -209,7 +200,7 @@ void check_unmqr_blocked(int nb, int n, Trans trans, double tol) {
   expect_bitwise_equal(dirty, got, "garbage below T's diagonal");
 }
 
-TEST_P(UnmqrBlocked, MatchesExplicitQAndSmallTileLoops) {
+TEST_P(UnmqrBlocked, MatchesExplicitQ) {
   const auto [nb, width, yes] = GetParam();
   const int n = width == 0 ? nb : width;
   const Trans trans = yes ? Trans::Yes : Trans::No;
@@ -226,6 +217,53 @@ INSTANTIATE_TEST_SUITE_P(
       const int n = std::get<1>(info.param) == 0 ? nb : std::get<1>(info.param);
       return "nb" + std::to_string(nb) + "_n" + std::to_string(n) +
              (std::get<2>(info.param) ? "_Trans" : "_NoTrans");
+    });
+
+// ---------------------------------------------------------------------------
+// Width invariance: unmqr picks its kernel from V's shape, never C's width,
+// and every kernel it can pick treats C's columns independently — so one
+// column at a time reproduces a full-width call bit for bit (the retained
+// factorization's exact-width solve depends on it). At nb = 24, 32 and 64
+// a single column's products fall below the GEMM dispatch threshold while a
+// tile's do not; nb = 8 stays on the small-tile loops at any width.
+// ---------------------------------------------------------------------------
+
+// (nb, Trans::Yes?)
+class UnmqrWidthInvariance
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+template <typename T>
+void check_unmqr_width_invariance(int nb, int n, Trans trans) {
+  SCOPED_TRACE(::testing::Message()
+               << "nb=" << nb << " n=" << n << " trans="
+               << (trans == Trans::Yes ? "Yes" : "No") << " bytes=" << sizeof(T));
+  Matrix<T> v = convert<T>(random_matrix(nb, nb, 7700 + nb));
+  Matrix<T> t(nb, nb);
+  geqrt(v.view(), t.view());
+  const Matrix<T> c0 = convert<T>(random_matrix(nb, n, 7800 + n));
+  Matrix<T> full = c0;
+  unmqr(trans, v.cview(), t.cview(), full.view());
+  Matrix<T> by_column = c0;
+  for (int j = 0; j < n; ++j)
+    unmqr(trans, v.cview(), t.cview(), by_column.view().col(j));
+  expect_bitwise_equal(by_column, full, "column by column vs full width");
+}
+
+TEST_P(UnmqrWidthInvariance, ColumnByColumnMatchesFullWidth) {
+  const auto [nb, yes] = GetParam();
+  const Trans trans = yes ? Trans::Yes : Trans::No;
+  for (int n : {nb, 40}) {
+    check_unmqr_width_invariance<double>(nb, n, trans);
+    check_unmqr_width_invariance<float>(nb, n, trans);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, UnmqrWidthInvariance,
+    ::testing::Combine(::testing::Values(8, 24, 32, 64, 128), ::testing::Bool()),
+    [](const auto& info) {
+      return "nb" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_Trans" : "_NoTrans");
     });
 
 }  // namespace

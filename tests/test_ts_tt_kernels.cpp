@@ -219,7 +219,7 @@ TEST(TsqrtFloat, SinglePrecisionRoundtrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked TSMQR/TTMQR branch (nb x n products above the GEMM dispatch
+// Blocked TSMQR/TTMQR branch (nb x nb x nb products above the GEMM dispatch
 // threshold): op(T) Z runs as a packed GEMM on the densified T factor.
 // ---------------------------------------------------------------------------
 
@@ -229,10 +229,48 @@ enum class Stacked { Ts, Tt };
 class StackedApplyBlocked
     : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
 
-// Factor a TS (square V) or TT (upper-triangular V) stacked pair of order nb
-// in precision T, then check the blocked apply of its Q to a random [C1; C2]
-// of width n against the explicit stacked Q, against the small-tile loops
-// and with garbage below the diagonal of T.
+// A TS (square V) or TT (upper-triangular V) stacked pair of order nb,
+// factored in precision T: its reflectors V, T factor and explicit Q.
+template <typename T>
+struct StackedFactor {
+  Matrix<T> v, t, q;
+};
+
+template <typename T>
+StackedFactor<T> factor_stacked(Stacked kind, int nb) {
+  Matrix<T> r = convert<T>(random_upper(nb, 7300 + nb));
+  StackedFactor<T> f;
+  f.v = convert<T>(kind == Stacked::Ts ? random_matrix(nb, nb, 7400 + nb)
+                                       : random_upper(nb, 7400 + nb));
+  f.t = Matrix<T>(nb, nb);
+  if (kind == Stacked::Ts) {
+    tsqrt(r.view(), f.v.view(), f.t.view());
+    f.q = q_from_tsqrt(f.v.cview(), f.t.cview(), nb);
+  } else {
+    ttqrt(r.view(), f.v.view(), f.t.view());
+    f.q = q_from_ttqrt(f.v.cview(), f.t.cview(), nb);
+  }
+  return f;
+}
+
+// Apply the stacked Q (or Q^T) of f to columns [j0, j0 + width) of [C1; C2].
+template <typename T>
+void apply_stacked(Stacked kind, Trans trans, const StackedFactor<T>& f,
+                   const Matrix<T>& tf, Matrix<T>& c1, Matrix<T>& c2, int j0,
+                   int width) {
+  const int nb = f.v.cols();
+  MatrixView<T> c1v = c1.view().block(0, j0, nb, width);
+  MatrixView<T> c2v = c2.view().block(0, j0, nb, width);
+  if (kind == Stacked::Ts) {
+    tsmqr(trans, f.v.cview(), tf.cview(), c1v, c2v);
+  } else {
+    ttmqr(trans, f.v.cview(), tf.cview(), c1v, c2v);
+  }
+}
+
+// Check the blocked apply of a stacked pair's Q to a random [C1; C2] of
+// width n against the explicit stacked Q and with garbage below the
+// diagonal of T.
 template <typename T>
 void check_stacked_apply_blocked(Stacked kind, int nb, int n, Trans trans,
                                  double tol) {
@@ -240,62 +278,32 @@ void check_stacked_apply_blocked(Stacked kind, int nb, int n, Trans trans,
                << (kind == Stacked::Ts ? "tsmqr" : "ttmqr") << " nb=" << nb
                << " n=" << n << " trans=" << (trans == Trans::Yes ? "Yes" : "No")
                << " bytes=" << sizeof(T));
-  ASSERT_TRUE(gemm_wants_blocked(nb, n, nb)) << "case misses the blocked branch";
-  Matrix<T> r = convert<T>(random_upper(nb, 7300 + nb));
-  Matrix<T> v = convert<T>(kind == Stacked::Ts ? random_matrix(nb, nb, 7400 + nb)
-                                               : random_upper(nb, 7400 + nb));
-  Matrix<T> t(nb, nb);
-  const auto apply = [&](const Matrix<T>& tf, Matrix<T>& c1, Matrix<T>& c2,
-                         int j0, int width) {
-    MatrixView<T> c1v = c1.view().block(0, j0, nb, width);
-    MatrixView<T> c2v = c2.view().block(0, j0, nb, width);
-    if (kind == Stacked::Ts) {
-      tsmqr(trans, v.cview(), tf.cview(), c1v, c2v);
-    } else {
-      ttmqr(trans, v.cview(), tf.cview(), c1v, c2v);
-    }
-  };
-  Matrix<T> q;
-  if (kind == Stacked::Ts) {
-    tsqrt(r.view(), v.view(), t.view());
-    q = q_from_tsqrt(v.cview(), t.cview(), nb);
-  } else {
-    ttqrt(r.view(), v.view(), t.view());
-    q = q_from_ttqrt(v.cview(), t.cview(), nb);
-  }
+  ASSERT_TRUE(gemm_wants_blocked(nb, nb, nb)) << "case misses the blocked branch";
+  const StackedFactor<T> f = factor_stacked<T>(kind, nb);
   const Matrix<T> c1_0 = convert<T>(random_matrix(nb, n, 7500 + n));
   const Matrix<T> c2_0 = convert<T>(random_matrix(nb, n, 7600 + n));
 
   Matrix<T> c1 = c1_0, c2 = c2_0;
-  apply(t, c1, c2, 0, n);
+  apply_stacked(kind, trans, f, f.t, c1, c2, 0, n);
   const Matrix<T> got = stack(c1, c2);
 
   // Against the explicitly accumulated stacked Q.
   const Matrix<T> c_stack = stack(c1_0, c2_0);
   Matrix<T> want(2 * nb, n);
-  ref_gemm(trans, Trans::No, T(1), q.cview(), c_stack.cview(), T(0), want.view());
+  ref_gemm(trans, Trans::No, T(1), f.q.cview(), c_stack.cview(), T(0),
+           want.view());
   EXPECT_LE(static_cast<double>(max_abs_diff(got.cview(), want.cview())), tol)
       << "blocked apply vs explicit stacked Q";
 
-  // Against the small-tile loops: one column at a time falls below the
-  // dispatch threshold, and the apply acts on each column independently.
-  if (!gemm_wants_blocked(nb, 1, nb)) {
-    Matrix<T> s1 = c1_0, s2 = c2_0;
-    for (int j = 0; j < n; ++j) apply(t, s1, s2, j, 1);
-    const Matrix<T> small = stack(s1, s2);
-    EXPECT_LE(static_cast<double>(max_abs_diff(got.cview(), small.cview())), tol)
-        << "blocked apply vs small-tile loops";
-  }
-
   // Only T's upper triangle is read: garbage below it changes no bit.
   const Matrix<T> t_dirty =
-      with_garbage_below_diagonal(t, std::numeric_limits<T>::quiet_NaN());
+      with_garbage_below_diagonal(f.t, std::numeric_limits<T>::quiet_NaN());
   Matrix<T> d1 = c1_0, d2 = c2_0;
-  apply(t_dirty, d1, d2, 0, n);
+  apply_stacked(kind, trans, f, t_dirty, d1, d2, 0, n);
   expect_bitwise_equal(stack(d1, d2), got, "garbage below T's diagonal");
 }
 
-TEST_P(StackedApplyBlocked, TsmqrMatchesExplicitQAndSmallTileLoops) {
+TEST_P(StackedApplyBlocked, TsmqrMatchesExplicitQ) {
   const auto [nb, width, yes] = GetParam();
   const int n = width == 0 ? nb : width;
   const Trans trans = yes ? Trans::Yes : Trans::No;
@@ -303,7 +311,7 @@ TEST_P(StackedApplyBlocked, TsmqrMatchesExplicitQAndSmallTileLoops) {
   check_stacked_apply_blocked<float>(Stacked::Ts, nb, n, trans, 1e-4);
 }
 
-TEST_P(StackedApplyBlocked, TtmqrMatchesExplicitQAndSmallTileLoops) {
+TEST_P(StackedApplyBlocked, TtmqrMatchesExplicitQ) {
   const auto [nb, width, yes] = GetParam();
   const int n = width == 0 ? nb : width;
   const Trans trans = yes ? Trans::Yes : Trans::No;
@@ -320,6 +328,62 @@ INSTANTIATE_TEST_SUITE_P(
       const int n = std::get<1>(info.param) == 0 ? nb : std::get<1>(info.param);
       return "nb" + std::to_string(nb) + "_n" + std::to_string(n) +
              (std::get<2>(info.param) ? "_Trans" : "_NoTrans");
+    });
+
+// ---------------------------------------------------------------------------
+// Width invariance: tsmqr/ttmqr pick their kernel from the tile shape, never
+// C's width, and every kernel they can pick treats the columns of [C1; C2]
+// independently — so one column at a time reproduces a full-width call bit
+// for bit (the retained factorization's exact-width solve depends on it).
+// At nb = 24, 32 and 64 a single column's products fall below the GEMM
+// dispatch threshold while a tile's do not.
+// ---------------------------------------------------------------------------
+
+// (nb, Trans::Yes?)
+class StackedApplyWidthInvariance
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+template <typename T>
+void check_stacked_width_invariance(Stacked kind, int nb, int n, Trans trans) {
+  SCOPED_TRACE(::testing::Message()
+               << (kind == Stacked::Ts ? "tsmqr" : "ttmqr") << " nb=" << nb
+               << " n=" << n << " trans=" << (trans == Trans::Yes ? "Yes" : "No")
+               << " bytes=" << sizeof(T));
+  const StackedFactor<T> f = factor_stacked<T>(kind, nb);
+  const Matrix<T> c1_0 = convert<T>(random_matrix(nb, n, 7900 + n));
+  const Matrix<T> c2_0 = convert<T>(random_matrix(nb, n, 8000 + n));
+  Matrix<T> f1 = c1_0, f2 = c2_0;
+  apply_stacked(kind, trans, f, f.t, f1, f2, 0, n);
+  Matrix<T> s1 = c1_0, s2 = c2_0;
+  for (int j = 0; j < n; ++j) apply_stacked(kind, trans, f, f.t, s1, s2, j, 1);
+  expect_bitwise_equal(stack(s1, s2), stack(f1, f2),
+                       "column by column vs full width");
+}
+
+TEST_P(StackedApplyWidthInvariance, TsmqrColumnByColumnMatchesFullWidth) {
+  const auto [nb, yes] = GetParam();
+  const Trans trans = yes ? Trans::Yes : Trans::No;
+  for (int n : {nb, 40}) {
+    check_stacked_width_invariance<double>(Stacked::Ts, nb, n, trans);
+    check_stacked_width_invariance<float>(Stacked::Ts, nb, n, trans);
+  }
+}
+
+TEST_P(StackedApplyWidthInvariance, TtmqrColumnByColumnMatchesFullWidth) {
+  const auto [nb, yes] = GetParam();
+  const Trans trans = yes ? Trans::Yes : Trans::No;
+  for (int n : {nb, 40}) {
+    check_stacked_width_invariance<double>(Stacked::Tt, nb, n, trans);
+    check_stacked_width_invariance<float>(Stacked::Tt, nb, n, trans);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, StackedApplyWidthInvariance,
+    ::testing::Combine(::testing::Values(8, 24, 32, 64, 128), ::testing::Bool()),
+    [](const auto& info) {
+      return "nb" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_Trans" : "_NoTrans");
     });
 
 }  // namespace
