@@ -1,5 +1,6 @@
 #include "api/solver.hpp"
 
+#include <algorithm>
 #include <thread>
 #include <utility>
 
@@ -99,38 +100,58 @@ Backend Solver::resolve_backend(int n_tiles) const {
   return Backend::Parallel;
 }
 
+namespace {
+
+// One parallel factorization on the configured pool: the shared engine when
+// one is set, else an owned pool of `threads` workers.
+template <typename T>
+core::FactorizationStatsT<T> factor_on_pool(const SolverConfig& cfg, int threads,
+                                            TileMatrix<T>& tiles, Criterion& criterion,
+                                            const core::HybridOptions& options,
+                                            core::TransformLogT<T>* log,
+                                            const rt::Staging<T>& stage = {}) {
+  return cfg.engine() != nullptr
+             ? rt::parallel_hybrid_factor_on(*cfg.engine(), tiles, criterion, options,
+                                             log, cfg.scheduler(),
+                                             cfg.scheduler_stats(), stage)
+             : rt::parallel_hybrid_factor(tiles, criterion, options, threads, log,
+                                          cfg.scheduler(), cfg.scheduler_stats(),
+                                          stage);
+}
+
+}  // namespace
+
 core::Factorization Solver::factor(const Matrix<double>& a) const {
   LUQR_REQUIRE(a.rows() == a.cols(), "Solver::factor: matrix must be square");
   const core::HybridOptions options = config_.hybrid_options();
   const int nb = config_.tile_size();
   const int n_tiles = (a.rows() + nb - 1) / nb;
+  const bool serial = resolve_backend(n_tiles) == Backend::Serial;
 
   if (config_.precision() != Precision::F64) {
-    // Reduced-precision route: narrow the input, factor in f32 through the
-    // same serial/parallel drivers (the criterion sees double-widened panel
-    // statistics, so the LU-vs-QR decisions are made exactly as specified),
-    // and retain the f64 original for residuals / the F32_IR fallback.
+    // Reduced-precision route: narrow the input once, factor in f32 through
+    // the same serial/parallel drivers (the criterion sees double-widened
+    // panel statistics, so the LU-vs-QR decisions are made exactly as
+    // specified), and retain the f64 original for residuals / the F32_IR
+    // fallback. The narrowed matrix itself becomes the f32 engine's
+    // original.
     const CriterionSpec spec = effective_criterion(a);
     const auto crit = make_criterion(spec);
-    Matrix<float> af(a.rows(), a.cols());
-    for (int j = 0; j < a.cols(); ++j)
-      for (int i = 0; i < a.rows(); ++i)
-        af(i, j) = static_cast<float>(a(i, j));
-    TileMatrix<float> tiles = TileMatrix<float>::from_dense(af, nb);
+    Matrix<float> af = Matrix<float>::uninitialized(a.rows(), a.cols());
+    std::transform(a.data(), a.data() + static_cast<std::size_t>(a.rows()) * a.cols(),
+                   af.data(), [](double v) { return static_cast<float>(v); });
     core::TransformLogT<float> log;
     core::FactorizationStatsT<float> stats;
-    if (resolve_backend(n_tiles) == Backend::Serial) {
+    TileMatrix<float> tiles;
+    if (serial) {
+      tiles = TileMatrix<float>::from_dense(af, nb);
       stats = core::hybrid_factor(tiles, *crit, options, &log);
     } else {
-      stats = config_.engine() != nullptr
-                  ? rt::parallel_hybrid_factor_on(
-                        *config_.engine(), tiles, *crit, options, &log,
-                        config_.scheduler(), config_.scheduler_stats())
-                  : rt::parallel_hybrid_factor(
-                        tiles, *crit, options, resolve_threads(), &log,
-                        config_.scheduler(), config_.scheduler_stats());
+      tiles = TileMatrix<float>::uninitialized(n_tiles, n_tiles, nb);
+      stats = factor_on_pool(config_, resolve_threads(), tiles, *crit, options, &log,
+                             {&af, nullptr});
     }
-    return core::Factorization::adopt_f32(a, std::move(tiles),
+    return core::Factorization::adopt_f32(a, std::move(af), std::move(tiles),
                                           std::move(stats), std::move(log),
                                           options, config_.precision(),
                                           config_.refine(), &spec);
@@ -139,22 +160,18 @@ core::Factorization Solver::factor(const Matrix<double>& a) const {
   std::unique_ptr<Criterion> owned;
   Criterion* criterion = resolve_criterion(a, owned);
 
-  if (resolve_backend(n_tiles) == Backend::Serial)
-    return core::Factorization::compute(a, *criterion, nb, options);
+  if (serial) return core::Factorization::compute(a, *criterion, nb, options);
 
-  TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, nb);
+  // Parallel: the pool's workers fill the tiles and build the retained
+  // original from `a` as the run's first tasks; nothing is zero-filled,
+  // converted or copied on this thread.
+  TileMatrix<double> tiles = TileMatrix<double>::uninitialized(n_tiles, n_tiles, nb);
+  Matrix<double> original = Matrix<double>::uninitialized(a.rows(), a.cols());
   core::TransformLog log;
-  core::FactorizationStats stats =
-      config_.engine() != nullptr
-          ? rt::parallel_hybrid_factor_on(*config_.engine(), tiles, *criterion,
-                                          options, &log, config_.scheduler(),
-                                          config_.scheduler_stats())
-          : rt::parallel_hybrid_factor(tiles, *criterion, options,
-                                       resolve_threads(), &log,
-                                       config_.scheduler(),
-                                       config_.scheduler_stats());
-  return core::Factorization::adopt(a, std::move(tiles), std::move(stats),
-                                    std::move(log), options);
+  core::FactorizationStats stats = factor_on_pool(
+      config_, resolve_threads(), tiles, *criterion, options, &log, {&a, &original});
+  return core::Factorization::adopt(std::move(original), std::move(tiles),
+                                    std::move(stats), std::move(log), options);
 }
 
 core::SolveResult Solver::solve(const Matrix<double>& a,
@@ -179,20 +196,10 @@ core::SolveResult Solver::solve(const Matrix<double>& a,
 
   TileMatrix<double> aug = core::make_augmented(a, b, config_.tile_size());
   core::SolveResult result;
-  if (resolve_backend(aug.mt()) == Backend::Parallel) {
-    result.stats =
-        config_.engine() != nullptr
-            ? rt::parallel_hybrid_factor_on(
-                  *config_.engine(), aug, *criterion, options,
-                  static_cast<core::TransformLog*>(nullptr),
-                  config_.scheduler(), config_.scheduler_stats())
-            : rt::parallel_hybrid_factor(
-                  aug, *criterion, options, resolve_threads(),
-                  static_cast<core::TransformLog*>(nullptr),
-                  config_.scheduler(), config_.scheduler_stats());
-  } else {
-    result.stats = core::hybrid_factor(aug, *criterion, options);
-  }
+  result.stats = resolve_backend(aug.mt()) == Backend::Parallel
+                     ? factor_on_pool(config_, resolve_threads(), aug, *criterion,
+                                      options, static_cast<core::TransformLog*>(nullptr))
+                     : core::hybrid_factor(aug, *criterion, options);
   core::back_substitute(aug, &result.stats);
   result.x = core::extract_solution(aug, a.rows(), b.cols());
   return result;

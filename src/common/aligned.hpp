@@ -7,7 +7,10 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 namespace luqr {
 
@@ -47,6 +50,33 @@ struct AlignedAllocator {
   bool operator==(const AlignedAllocator<U, Align>&) const { return true; }
   template <typename U>
   bool operator!=(const AlignedAllocator<U, Align>&) const { return false; }
+};
+
+/// Allocator adaptor whose argument-less construct() default-initialises:
+/// std::vector<T, DefaultInitAllocator<A>>(n) allocates n trivial elements
+/// without writing them (no zero-fill pass, so the pages stay untouched
+/// until their first real write), while (n, value), copies and moves
+/// construct exactly as A does.
+template <typename A>
+struct DefaultInitAllocator : A {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<
+        typename std::allocator_traits<A>::template rebind_alloc<U>>;
+  };
+
+  using A::A;
+  DefaultInitAllocator() = default;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::allocator_traits<A>::construct(static_cast<A&>(*this), p,
+                                        std::forward<Args>(args)...);
+  }
 };
 
 }  // namespace luqr

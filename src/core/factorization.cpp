@@ -73,7 +73,7 @@ FactorizationT<T> FactorizationT<T>::compute(const Matrix<T>& a,
 }
 
 template <typename T>
-FactorizationT<T> FactorizationT<T>::adopt(const Matrix<T>& original,
+FactorizationT<T> FactorizationT<T>::adopt(Matrix<T> original,
                                            TileMatrix<T> factored,
                                            FactorizationStatsT<T> stats,
                                            TransformLogT<T> log,
@@ -88,7 +88,7 @@ FactorizationT<T> FactorizationT<T>::adopt(const Matrix<T>& original,
                "adopt: transform log does not cover every step");
   FactorizationT f;
   f.n_scalar_ = original.rows();
-  f.original_ = original;
+  f.original_ = std::move(original);
   f.options_ = options;
   f.factored_ = std::move(factored);
   f.stats_ = std::move(stats);
@@ -457,14 +457,14 @@ Factorization Factorization::compute(const Matrix<double>& a,
   return f;
 }
 
-Factorization Factorization::adopt(const Matrix<double>& original,
+Factorization Factorization::adopt(Matrix<double> original,
                                    TileMatrix<double> factored,
                                    FactorizationStats stats, TransformLog log,
                                    const HybridOptions& options) {
   Factorization f;
   f.precision_ = Precision::F64;
   f.f64_ = std::make_shared<FactorizationT<double>>(
-      FactorizationT<double>::adopt(original, std::move(factored),
+      FactorizationT<double>::adopt(std::move(original), std::move(factored),
                                     std::move(stats), std::move(log), options));
   f.n_scalar_ = f.f64_->order();
   f.nb_ = f.f64_->tile_size();
@@ -472,7 +472,8 @@ Factorization Factorization::adopt(const Matrix<double>& original,
   return f;
 }
 
-Factorization Factorization::adopt_f32(const Matrix<double>& original,
+Factorization Factorization::adopt_f32(Matrix<double> original,
+                                       Matrix<float> narrowed,
                                        TileMatrix<float> factored,
                                        FactorizationStatsT<float> stats,
                                        TransformLogT<float> log,
@@ -484,13 +485,15 @@ Factorization Factorization::adopt_f32(const Matrix<double>& original,
                "adopt_f32: precision must be F32 or F32_IR");
   LUQR_REQUIRE(precision != Precision::F32_IR || fallback != nullptr,
                "adopt_f32: F32_IR needs a fallback criterion spec");
+  LUQR_REQUIRE(narrowed.rows() == original.rows() && narrowed.cols() == original.cols(),
+               "adopt_f32: narrowed matrix does not match the original");
   Factorization f;
   f.precision_ = precision;
   f.refine_ = refine;
-  f.original_ = original;
+  f.original_ = std::move(original);
   f.stats_summary_ = widen_stats(stats);
   f.f32_ = std::make_shared<FactorizationT<float>>(
-      FactorizationT<float>::adopt(convert_matrix<float>(original),
+      FactorizationT<float>::adopt(std::move(narrowed),
                                    std::move(factored), std::move(stats),
                                    std::move(log), options));
   f.n_scalar_ = f.f32_->order();

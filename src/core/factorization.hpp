@@ -63,12 +63,14 @@ class FactorizationT {
                                 int nb, const HybridOptions& options = {});
 
   /// Assemble a retained factorization from an externally driven factor
-  /// pass — the parallel backend's path: tile `a` with from_dense, run
-  /// rt::parallel_hybrid_factor over the tiles with a TransformLog, then
-  /// adopt the factored tiles, stats and log. `original` is the unfactored
-  /// A (kept for iterative refinement). The tiles/log must describe a
-  /// factorization of exactly that matrix (padded per from_dense).
-  static FactorizationT adopt(const Matrix<T>& original,
+  /// pass — the parallel backend's path: run rt::parallel_hybrid_factor with
+  /// a TransformLog over tiles of `a` (from_dense, or staged on the workers),
+  /// then adopt the factored tiles, stats and log. `original` is the
+  /// unfactored A (kept for iterative refinement), moved in: pass a
+  /// temporary or std::move to retain it without a copy. The tiles/log must
+  /// describe a factorization of exactly that matrix (padded per
+  /// from_dense).
+  static FactorizationT adopt(Matrix<T> original,
                               TileMatrix<T> factored,
                               FactorizationStatsT<T> stats,
                               TransformLogT<T> log,
@@ -120,20 +122,24 @@ class Factorization {
   static Factorization compute(const Matrix<double>& a, Criterion& criterion,
                                int nb, const HybridOptions& options = {});
 
-  /// Adopt an externally driven f64 factor pass (the parallel backend).
-  static Factorization adopt(const Matrix<double>& original,
+  /// Adopt an externally driven f64 factor pass (the parallel backend);
+  /// `original` is moved in, as in FactorizationT::adopt.
+  static Factorization adopt(Matrix<double> original,
                              TileMatrix<double> factored,
                              FactorizationStats stats, TransformLog log,
                              const HybridOptions& options = {});
 
   /// Adopt an externally driven f32 factor pass (serial or parallel) as a
-  /// reduced-precision factorization of the f64 `original`. The tiles/log
-  /// must describe a float factorization of exactly float(original).
+  /// reduced-precision factorization of the f64 `original`. `narrowed` is
+  /// float(original), the f32 engine's retained original (both are moved
+  /// in). The tiles/log must describe a float factorization of exactly
+  /// `narrowed`.
   /// `precision` selects F32 (plain reduced-precision solves) or F32_IR
   /// (refine to f64; `refine` caps/targets the loop). `fallback` — required
   /// for F32_IR — is the criterion spec an f64 fallback refactorization
   /// uses when refinement stalls (computed lazily, at most once, serially).
-  static Factorization adopt_f32(const Matrix<double>& original,
+  static Factorization adopt_f32(Matrix<double> original,
+                                 Matrix<float> narrowed,
                                  TileMatrix<float> factored,
                                  FactorizationStatsT<float> stats,
                                  TransformLogT<float> log,

@@ -10,21 +10,12 @@ TileMatrix<T> make_augmented(const Matrix<T>& a, const Matrix<T>& b, int nb) {
   const int n_scalar = a.rows();
   const int mt = (n_scalar + nb - 1) / nb;
   const int bt = (b.cols() + nb - 1) / nb;
-  TileMatrix<T> aug(mt, mt + bt, nb);
+  TileMatrix<T> aug = TileMatrix<T>::uninitialized(mt, mt + bt, nb);
   // Square part with identity padding (keeps the padded system nonsingular
-  // and the padded solution tail exactly zero).
-  for (int j = 0; j < mt * nb; ++j) {
-    for (int i = 0; i < mt * nb; ++i) {
-      if (i < n_scalar && j < n_scalar) {
-        aug.at(i, j) = a(i, j);
-      } else if (i == j) {
-        aug.at(i, j) = T(1);
-      }
-    }
-  }
-  // RHS columns, zero padded.
-  for (int j = 0; j < b.cols(); ++j)
-    for (int i = 0; i < n_scalar; ++i) aug.at(i, mt * nb + j) = b(i, j);
+  // and the padded solution tail exactly zero), then the RHS columns, zero
+  // padded.
+  aug.fill_columns(a.cview(), 0, mt);
+  aug.fill_columns(b.cview(), mt, mt + bt, mt * nb);
   return aug;
 }
 

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "kernels/matrix_view.hpp"
 
 namespace luqr {
@@ -16,6 +17,12 @@ class Matrix {
   Matrix() = default;
   Matrix(int rows, int cols, T value = T(0))
       : rows_(rows), cols_(cols), data_(checked_size(rows, cols), value) {}
+
+  /// A rows x cols matrix whose elements are left unwritten: no
+  /// value-initialising pass touches the pages, so the first write (often
+  /// on the worker thread that fills it) faults them in. Every element must
+  /// be written before it is read.
+  static Matrix uninitialized(int rows, int cols) { return Matrix(rows, cols, Uninit{}); }
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
@@ -44,6 +51,10 @@ class Matrix {
   }
 
  private:
+  struct Uninit {};
+  Matrix(int rows, int cols, Uninit)
+      : rows_(rows), cols_(cols), data_(checked_size(rows, cols)) {}
+
   static std::size_t checked_size(int rows, int cols) {
     LUQR_REQUIRE(rows >= 0 && cols >= 0, "negative matrix dimension");
     return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
@@ -51,7 +62,7 @@ class Matrix {
 
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, DefaultInitAllocator<std::allocator<T>>> data_;
 };
 
 }  // namespace luqr

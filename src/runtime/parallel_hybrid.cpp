@@ -84,7 +84,9 @@ struct Driver {
   ProcessGrid grid;
   int n;                      // tile rows of the square part
   bool growth;                // options.track_growth
-  double initial_max = 0.0;   // growth baseline: max tile norm of A
+  // Growth baseline: max tile norm of A (reduced by the staging tasks when
+  // the run stages its input).
+  std::atomic<double> initial_max{0.0};
   core::FactorizationStatsT<T> stats;  // appended by the decision chain, in k order
   core::TransformLogT<T>* log = nullptr;
   std::vector<std::unique_ptr<StepContext<T>>> steps;
@@ -201,6 +203,56 @@ struct Driver {
                          {"job-done", 0, -1});
   }
 };
+
+// Stage the input: one task per chunk of tile columns fills its tiles from
+// the dense source and copies the same columns into the retained copy, so
+// each page is first touched by the worker that writes it. Declaring Write
+// on every tile of the chunk orders each step's tasks after the staging of
+// the columns they touch (and puts the staging under the audit). With growth
+// tracking, each chunk folds the norms of the square-part tiles it wrote
+// into the baseline; max is order-insensitive, so the baseline is bitwise
+// the sequential driver's.
+template <typename T>
+void submit_staging(Driver<T>& d, const Staging<T>& stage) {
+  TileMatrix<T>& a = d.a;
+  const Matrix<T>& src = *stage.source;
+  Matrix<T>* copy = stage.copy;
+  const int nb = a.nb();
+  const int nt = a.nt();
+  const int n = d.n;
+  const bool growth = d.growth;
+  Driver<T>* dp = &d;
+  // A few chunks per worker: enough to spread the page faults, few enough
+  // that each task moves whole tile columns.
+  const int chunk = std::max(1, nt / (4 * d.engine.num_threads()));
+  for (int j0 = 0; j0 < nt; j0 += chunk) {
+    const int j1 = std::min(j0 + chunk, nt);
+    std::vector<Dep> deps;
+    deps.reserve(static_cast<std::size_t>(j1 - j0) * a.mt());
+    for (int j = j0; j < j1; ++j)
+      for (int i = 0; i < a.mt(); ++i) deps.push_back({a.tile_key(i, j), Access::Write});
+    d.submit(
+        [&a, &src, copy, dp, j0, j1, nb, n, growth] {
+          a.fill_columns(src.cview(), j0, j1);
+          if (copy) {
+            const std::size_t rows = static_cast<std::size_t>(src.rows());
+            const std::size_t c0 = static_cast<std::size_t>(std::min(j0 * nb, src.cols()));
+            const std::size_t c1 = static_cast<std::size_t>(std::min(j1 * nb, src.cols()));
+            std::copy(src.data() + c0 * rows, src.data() + c1 * rows,
+                      copy->data() + c0 * rows);
+          }
+          if (growth) {
+            double best = 0.0;
+            for (int j = j0; j < std::min(j1, n); ++j)
+              for (int i = 0; i < n; ++i)
+                best = std::max(best, static_cast<double>(kern::lange(
+                                          kern::Norm::One, std::as_const(a).tile(i, j))));
+            atomic_max(dp->initial_max, best);
+          }
+        },
+        deps, {"stage", d.lane_update(-1, j0), -1});
+  }
+}
 
 // Swap the trailing tiles of column j according to the stacked pivots.
 template <typename T>
@@ -516,7 +568,8 @@ TaskId submit_step(Driver<T>& d, int k) {
 template <typename T>
 core::FactorizationStatsT<T> drive(Driver<T>& d, core::TransformLogT<T>* log,
                                    const SchedulerOptions& sched,
-                                   SchedulerStats* sched_stats) {
+                                   SchedulerStats* sched_stats,
+                                   const Staging<T>& stage) {
   if (log) log->clear();
   d.log = log;
 
@@ -529,12 +582,14 @@ core::FactorizationStatsT<T> drive(Driver<T>& d, core::TransformLogT<T>* log,
   if (d.engine.auditing())
     audit_tiles = std::make_unique<ScopedTileRegistration>(d.a);
 
-  if (d.growth) {
-    d.initial_max = core::max_trailing_tile_norm(d.a, 0);
-    d.stats.growth_factor = 1.0;
-  }
+  if (d.growth) d.stats.growth_factor = 1.0;
 
   try {
+    if (stage.source) {
+      submit_staging(d, stage);
+    } else if (d.growth) {
+      d.initial_max = core::max_trailing_tile_norm(d.a, 0);
+    }
     if (d.sched.mode == SubmitMode::JoinPerStep) {
       // Historical mode: the submitting thread blocks on each step's
       // decision while the workers keep draining earlier steps' updates.
@@ -570,12 +625,13 @@ core::FactorizationStatsT<T> drive(Driver<T>& d, core::TransformLogT<T>* log,
     d.engine.wait_all();
   }
 
-  if (d.growth && d.initial_max > 0.0) {
+  const double initial_max = d.initial_max.load(std::memory_order_relaxed);
+  if (d.growth && initial_max > 0.0) {
     for (const auto& step : d.steps) {
       if (!step) continue;  // a failed step cut the decision chain short
       d.stats.growth_factor =
           std::max(d.stats.growth_factor,
-                   step->step_max.load(std::memory_order_relaxed) / d.initial_max);
+                   step->step_max.load(std::memory_order_relaxed) / initial_max);
     }
   }
 
@@ -607,11 +663,21 @@ core::FactorizationStatsT<T> drive(Driver<T>& d, core::TransformLogT<T>* log,
 }
 
 template <typename T>
-void validate_factor_args(const TileMatrix<T>& a, const HybridOptions& options) {
+void validate_factor_args(const TileMatrix<T>& a, const HybridOptions& options,
+                          const Staging<T>& stage) {
   LUQR_REQUIRE(options.variant == core::LuVariant::A1,
                "the parallel driver implements variant A1 (the paper's "
                "evaluated variant); use the sequential driver for A2/B1/B2");
   LUQR_REQUIRE(a.nt() >= a.mt(), "matrix must contain its square part");
+  if (stage.source) {
+    LUQR_REQUIRE(stage.source->rows() <= a.rows() && stage.source->cols() <= a.cols(),
+                 "staging source does not fit the tile grid");
+    LUQR_REQUIRE(!stage.copy || (stage.copy->rows() == stage.source->rows() &&
+                                 stage.copy->cols() == stage.source->cols()),
+                 "staging copy must have the source's shape");
+  } else {
+    LUQR_REQUIRE(!stage.copy, "a staging copy needs a staging source");
+  }
 }
 
 }  // namespace
@@ -620,10 +686,11 @@ template <typename T>
 core::FactorizationStatsT<T> parallel_hybrid_factor(
     TileMatrix<T>& a, Criterion& criterion, const HybridOptions& options,
     int num_threads, detail::non_deduced<core::TransformLogT<T>*> log,
-    const SchedulerOptions& sched, SchedulerStats* sched_stats) {
-  validate_factor_args(a, options);
+    const SchedulerOptions& sched, SchedulerStats* sched_stats,
+    detail::non_deduced<Staging<T>> stage) {
+  validate_factor_args(a, options, stage);
   Driver<T> d(a, criterion, options, sched, num_threads);
-  return drive(d, log, sched, sched_stats);
+  return drive(d, log, sched, sched_stats, stage);
 }
 
 template <typename T>
@@ -631,27 +698,32 @@ core::FactorizationStatsT<T> parallel_hybrid_factor_on(
     Engine& engine, TileMatrix<T>& a, Criterion& criterion,
     const HybridOptions& options,
     detail::non_deduced<core::TransformLogT<T>*> log,
-    const SchedulerOptions& sched, SchedulerStats* sched_stats) {
-  validate_factor_args(a, options);
+    const SchedulerOptions& sched, SchedulerStats* sched_stats,
+    detail::non_deduced<Staging<T>> stage) {
+  validate_factor_args(a, options, stage);
   LUQR_REQUIRE(!sched.trace,
                "per-task tracing needs a quiescent engine of its own; it is "
                "unavailable on a shared engine");
   Driver<T> d(engine, a, criterion, options, sched);
-  return drive(d, log, sched, sched_stats);
+  return drive(d, log, sched, sched_stats, stage);
 }
 
 template core::FactorizationStatsT<double> parallel_hybrid_factor(
     TileMatrix<double>&, Criterion&, const HybridOptions&, int,
-    core::TransformLogT<double>*, const SchedulerOptions&, SchedulerStats*);
+    core::TransformLogT<double>*, const SchedulerOptions&, SchedulerStats*,
+    Staging<double>);
 template core::FactorizationStatsT<float> parallel_hybrid_factor(
     TileMatrix<float>&, Criterion&, const HybridOptions&, int,
-    core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*);
+    core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*,
+    Staging<float>);
 template core::FactorizationStatsT<double> parallel_hybrid_factor_on(
     Engine&, TileMatrix<double>&, Criterion&, const HybridOptions&,
-    core::TransformLogT<double>*, const SchedulerOptions&, SchedulerStats*);
+    core::TransformLogT<double>*, const SchedulerOptions&, SchedulerStats*,
+    Staging<double>);
 template core::FactorizationStatsT<float> parallel_hybrid_factor_on(
     Engine&, TileMatrix<float>&, Criterion&, const HybridOptions&,
-    core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*);
+    core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*,
+    Staging<float>);
 
 // parallel_hybrid_solve is a thin wrapper over the luqr::Solver facade; its
 // definition lives in api/solver.cpp so this layer never includes upward.

@@ -65,6 +65,22 @@ struct SchedulerStats {
   std::uint64_t audit_hb_violations = 0;
 };
 
+/// Optional input staging for the parallel drivers. With `source` set, the
+/// run's first tasks, one per chunk of tile columns on the pool that
+/// factors, write every element of the tiles from it
+/// (TileMatrix::fill_columns: padding and stride slack included, so the
+/// tiles may come straight from TileMatrix::uninitialized), each declaring
+/// Write on the tiles it fills. With `copy` also set (shaped like the
+/// source, typically Matrix::uninitialized), the same tasks copy their
+/// columns of the source into it: the retained original. Every page is then
+/// first touched by the worker that writes it, and the calling thread
+/// converts and copies nothing.
+template <typename T>
+struct Staging {
+  const Matrix<T>* source = nullptr;
+  Matrix<T>* copy = nullptr;
+};
+
 /// Parallel equivalent of core::hybrid_factor, including
 /// HybridOptions::track_growth (reduced via per-step atomic maxima over the
 /// final value of each trailing tile, so the reported growth factor is
@@ -74,6 +90,7 @@ struct SchedulerStats {
 /// sequential driver records it (same replay order, bitwise-identical
 /// factors), so the result can seed a retained core::Factorization that
 /// serves fresh right-hand sides later.
+/// `stage` (see Staging) fills `a` on the workers before the steps read it.
 /// Instantiated for double and float; the float instantiation backs the
 /// Precision::F32/F32_IR paths (criterion statistics are gathered in double
 /// regardless of T, so the LU-vs-QR decisions match the f64 run shape-wise).
@@ -81,7 +98,8 @@ template <typename T>
 core::FactorizationStatsT<T> parallel_hybrid_factor(
     TileMatrix<T>& a, Criterion& criterion, const core::HybridOptions& options,
     int num_threads, detail::non_deduced<core::TransformLogT<T>*> log = nullptr,
-    const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr);
+    const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr,
+    detail::non_deduced<Staging<T>> stage = {});
 
 /// Same factorization, but on a caller-provided long-lived engine instead of
 /// a per-call worker pool — the serve subsystem's mode: many factorizations
@@ -91,13 +109,15 @@ core::FactorizationStatsT<T> parallel_hybrid_factor(
 /// run and rethrown here, never parked in the shared engine's global error
 /// slot. SchedulerOptions::trace is unsupported (it needs a quiescent
 /// engine); SchedulerStats, when requested, reports engine-wide lifetime
-/// totals (see the struct comment), not this run's share.
+/// totals (see the struct comment), not this run's share. Staging tasks run
+/// under this run's error guard, like every other task of the run.
 template <typename T>
 core::FactorizationStatsT<T> parallel_hybrid_factor_on(
     Engine& engine, TileMatrix<T>& a, Criterion& criterion,
     const core::HybridOptions& options,
     detail::non_deduced<core::TransformLogT<T>*> log = nullptr,
-    const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr);
+    const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr,
+    detail::non_deduced<Staging<T>> stage = {});
 
 /// Parallel equivalent of core::hybrid_solve.
 core::SolveResult parallel_hybrid_solve(const Matrix<double>& a,

@@ -33,9 +33,7 @@ class TileMatrix {
   TileMatrix() = default;
   TileMatrix(int mt, int nt, int nb)
       : mt_(mt), nt_(nt), nb_(nb), tile_stride_(padded_tile_stride(nb)),
-        data_(checked_elems(mt, nt, nb), T(0)) {
-    LUQR_REQUIRE(mt >= 0 && nt >= 0 && nb > 0, "bad tile grid shape");
-  }
+        data_(checked_elems(mt, nt, nb), T(0)) {}
 
   int mt() const { return mt_; }   ///< tile rows
   int nt() const { return nt_; }   ///< tile cols
@@ -73,11 +71,28 @@ class TileMatrix {
     return *(tile_ptr(i / nb_, j / nb_) + (j % nb_) * nb_ + (i % nb_));
   }
 
+  /// mt x nt tiles whose storage is left unwritten: no value-initialising
+  /// pass touches the pages, so the first write — fill_columns, typically
+  /// on the worker that goes on to use the tiles — faults them in. Every
+  /// tile column must be filled before any element is read.
+  static TileMatrix uninitialized(int mt, int nt, int nb) {
+    return TileMatrix(mt, nt, nb, Uninit{});
+  }
+
   /// Embed a dense matrix into a tiled one. Rows/cols are padded up to a
   /// multiple of nb; the padding block is the identity (so factorizations
   /// of the padded matrix reproduce the original, and padded solves return
-  /// zeros in the tail).
+  /// zeros in the tail). One pass: uninitialized + fill_columns(0, nt).
   static TileMatrix from_dense(const Matrix<T>& dense, int nb);
+
+  /// Write every element of tile columns [j0, j1) in one pass, the stride
+  /// slack between tiles included. The source occupies global rows
+  /// [0, src.rows) and columns [col0, col0 + src.cols); element (i, j) is
+  /// src(i, j - col0) inside that block, 1 on the diagonal (i == j) outside
+  /// it (identity padding), and 0 elsewhere. Each tile written is reported
+  /// to the access listener as a write, so an audited task that fills its
+  /// declared tiles stays inside its Dep set.
+  void fill_columns(kern::ConstMatrixView<T> src, int j0, int j1, int col0 = 0);
 
   /// Extract the top-left rows x cols corner back to dense storage.
   Matrix<T> to_dense(int rows, int cols) const;
@@ -94,6 +109,11 @@ class TileMatrix {
   void restore_column(int j, int i0, int i1, const std::vector<std::vector<T>>& saved);
 
  private:
+  struct Uninit {};
+  TileMatrix(int mt, int nt, int nb, Uninit)
+      : mt_(mt), nt_(nt), nb_(nb), tile_stride_(padded_tile_stride(nb)),
+        data_(checked_elems(mt, nt, nb)) {}
+
   /// Elements between consecutive tiles: nb*nb rounded up so each tile
   /// begins a whole number of cache lines after the (aligned) base.
   static std::size_t padded_tile_stride(int nb) {
@@ -105,6 +125,7 @@ class TileMatrix {
   /// injected std::bad_alloc leaves the object unconstructed, exactly like
   /// a real allocation failure in the vector below).
   static std::size_t checked_elems(int mt, int nt, int nb) {
+    LUQR_REQUIRE(mt >= 0 && nt >= 0 && nb > 0, "bad tile grid shape");
     fault::maybe_alloc_fail(fault::site::kTileAlloc);
     return static_cast<std::size_t>(mt) * nt * padded_tile_stride(nb);
   }
@@ -125,7 +146,7 @@ class TileMatrix {
 
   int mt_ = 0, nt_ = 0, nb_ = 1;
   std::size_t tile_stride_ = 0;
-  std::vector<T, AlignedAllocator<T>> data_;
+  std::vector<T, DefaultInitAllocator<AlignedAllocator<T>>> data_;
 };
 
 }  // namespace luqr

@@ -127,6 +127,27 @@ TEST(FaultSites, GetrfSingularTakesQrFallback) {
   EXPECT_LT(verify::hpl3(a, x, b), 1.0);
 }
 
+TEST(FaultSites, TileAllocFiresOnTheStagedParallelPath) {
+  // The Parallel backend allocates its tiles uninitialized and fills them on
+  // the workers; the allocation-failure site must still fire, as a plain
+  // std::bad_alloc out of Solver::factor, and the next factor succeeds.
+  fault::FaultPlan plan(2);
+  plan.arm({fault::site::kTileAlloc, 1.0, /*max_fires=*/1});
+  const auto a = gen::generate(gen::MatrixKind::Random, 40, 33);
+  const Solver solver(SolverConfig()
+                          .criterion(CriterionSpec::max(100.0))
+                          .tile_size(8)
+                          .backend(Backend::Parallel)
+                          .threads(2));
+  {
+    fault::ScopedPlan guard(plan);
+    EXPECT_THROW((void)solver.factor(a), std::bad_alloc);
+    EXPECT_EQ(plan.fires(fault::site::kTileAlloc), 1u);
+    const auto b = random_matrix(40, 1, 34);
+    EXPECT_LT(verify::hpl3(a, solver.factor(a).solve(b), b), 1.0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Serve resilience
 // ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ TEST(PrecisionBitwise, SerialVsParallelF32) {
   expect_precision_bitwise(Precision::F32, 96, 2, 103);
 }
 
+TEST(PrecisionBitwise, SerialVsParallelPaddedF64AndF32) {
+  // n % nb != 0: the staged padding (identity tail) must match the serial
+  // conversion at both working precisions.
+  expect_precision_bitwise(Precision::F64, 101, 2, 109);
+  expect_precision_bitwise(Precision::F32, 101, 2, 113);
+}
+
 TEST(PrecisionBitwise, SerialVsParallelF32IR) {
   expect_precision_bitwise(Precision::F32_IR, 96, 2, 107);
 }

@@ -484,6 +484,70 @@ TEST(Solver, ConcurrentFactorizationsShareOneEngine) {
   EXPECT_TRUE(engine->idle());
 }
 
+TEST(Solver, StagedParallelFactorMatchesSerialBitwisePadded) {
+  // The Parallel backend fills the tiles and the retained original on the
+  // pool's workers; with n % nb != 0 (identity padding staged too) the
+  // factorization must equal the serial one bit for bit, on an owned pool
+  // and on a shared engine, growth factor included.
+  const int n = 101;
+  const auto a = gen::generate(gen::MatrixKind::Random, n, 33);
+  const auto b = random_matrix(n, 3, 34);
+  core::HybridOptions opt;
+  opt.grid_p = 2;
+  opt.grid_q = 2;
+  opt.track_growth = true;
+  const SolverConfig base = SolverConfig()
+                                .hybrid_options(opt)
+                                .criterion(CriterionSpec::max(20.0))
+                                .tile_size(16);
+  auto engine = std::make_shared<rt::Engine>(3);
+  const core::Factorization serial =
+      Solver(SolverConfig(base).backend(Backend::Serial)).factor(a);
+  const core::Factorization owned =
+      Solver(SolverConfig(base).backend(Backend::Parallel).threads(4)).factor(a);
+  const core::Factorization shared =
+      Solver(SolverConfig(base).backend(Backend::Parallel).engine(engine)).factor(a);
+  ASSERT_GT(serial.stats().lu_steps, 0);
+  ASSERT_GT(serial.stats().qr_steps, 0);
+
+  const auto xs = serial.solve(b);
+  for (const core::Factorization* f : {&owned, &shared}) {
+    ASSERT_EQ(f->stats().lu_steps, serial.stats().lu_steps);
+    ASSERT_EQ(f->stats().qr_steps, serial.stats().qr_steps);
+    EXPECT_EQ(f->stats().growth_factor, serial.stats().growth_factor);
+    ASSERT_EQ(f->matrix().rows(), n);
+    ASSERT_EQ(f->matrix().cols(), n);
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < n; ++i) ASSERT_EQ(f->matrix()(i, j), a(i, j));
+    const auto x = f->solve(b);
+    for (int j = 0; j < 3; ++j)
+      for (int i = 0; i < n; ++i) ASSERT_EQ(x(i, j), xs(i, j)) << i << "," << j;
+    // Refinement reads the retained original: it must be the staged copy.
+    const auto xr = f->solve(b, 2);
+    const auto xsr = serial.solve(b, 2);
+    for (int i = 0; i < n; ++i) ASSERT_EQ(xr(i, 0), xsr(i, 0)) << i;
+  }
+  engine->wait_idle();
+  EXPECT_TRUE(engine->idle());
+}
+
+TEST(Solver, StagingArgumentsAreValidated) {
+  const auto a = random_matrix(20, 20, 35);
+  MaxCriterion criterion(20.0);
+  auto tiles = TileMatrix<double>::uninitialized(2, 2, 8);  // 16 < 20 rows
+  EXPECT_THROW(rt::parallel_hybrid_factor(tiles, criterion, {}, 2, nullptr, {},
+                                          nullptr, {&a, nullptr}),
+               Error);
+  auto fits = TileMatrix<double>::uninitialized(3, 3, 8);
+  Matrix<double> wrong = Matrix<double>::uninitialized(20, 19);
+  EXPECT_THROW(rt::parallel_hybrid_factor(fits, criterion, {}, 2, nullptr, {},
+                                          nullptr, {&a, &wrong}),
+               Error);
+  EXPECT_THROW(rt::parallel_hybrid_factor(fits, criterion, {}, 2, nullptr, {},
+                                          nullptr, {nullptr, &wrong}),
+               Error);
+}
+
 TEST(SolverConfig, SharedEngineRejectsTracing) {
   auto engine = std::make_shared<rt::Engine>(2);
   rt::SchedulerOptions sched;
