@@ -164,11 +164,11 @@ class SolverConfig {
     track_growth_ = on;
     return *this;
   }
-  /// Scheduling knobs for the Parallel backend: continuation vs
-  /// join-per-step submission, critical-path priorities with a configurable
-  /// lookahead depth, and the per-task timing trace
-  /// (rt::SchedulerOptions::trace_path writes a Chrome-tracing JSON file
-  /// after each parallel factorization).
+  /// Observation options for the Parallel backend, whose scheduling policy
+  /// is fixed (decision-as-task continuation, fixed priority-lane map): the
+  /// per-task timing trace (rt::SchedulerOptions::trace_path writes a
+  /// Chrome-tracing JSON file after each parallel factorization), the
+  /// dataflow audit, and chaos scheduling.
   SolverConfig& scheduler(const rt::SchedulerOptions& s) {
     scheduler_ = s;
     return *this;

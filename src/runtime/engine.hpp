@@ -15,12 +15,12 @@
 //     idle workers steal from other deques FIFO (oldest task first).
 //   - Tasks submitted from non-worker threads land in a shared injection
 //     queue, drained FIFO.
-//   - Tasks carry a priority (0..kPriorityLanes-1); ready tasks with
-//     priority > 0 go to shared high-priority lanes that every worker checks
-//     (highest lane first) before its own deque, so critical-path work (the
-//     hybrid driver's panel/decision chain and the updates that gate the
-//     next few panels, graded by lookahead distance) overtakes bulk trailing
-//     updates.
+//   - Tasks carry a priority (0..kPriorityLanes-1, i.e. 0..4); ready tasks
+//     with priority > 0 go to shared high-priority lanes that every worker
+//     checks (highest lane first) before its own deque, so critical-path
+//     work (the hybrid driver's panel/decision chain and the updates that
+//     gate the next two panels, on its fixed lane map) overtakes bulk
+//     trailing updates.
 //   - Every task's DAG depth is computed at submit time: 1 + the maximum
 //     depth over its inferred predecessors. The depth of a datum's last
 //     writer is kept in the datum history, so chains survive individual
@@ -92,15 +92,16 @@ using TaskId = std::uint64_t;
 
 /// Number of scheduling priority levels. Priority 0 runs from the per-worker
 /// deques; priorities 1..kPriorityLanes-1 each have a shared lane, drained
-/// highest-first before any deque work. Wide enough for the hybrid driver's
-/// lookahead-graded lanes (panel > gates > near-frontier updates > bulk).
-inline constexpr int kPriorityLanes = 8;
+/// highest-first before any deque work. Exactly the lanes the hybrid
+/// driver's fixed map uses (panel 4 > gates 3 > near-frontier updates >
+/// bulk 0; see runtime/parallel_hybrid.hpp), which also hold the serve
+/// tier's job priorities (0..2).
+inline constexpr int kPriorityLanes = 5;
 
 /// Optional task attributes: a display name for traces, a scheduling
 /// priority (0 = bulk work, higher runs earlier; clamped to
 /// [0, kPriorityLanes-1]), a caller-defined tag recorded in the trace
-/// (the hybrid driver tags every task with its step index k, which is what
-/// the lookahead-depth analysis in bench_scheduler reads back), and a span
+/// (the hybrid driver tags every task with its step index k), and a span
 /// id (`job`) that flows into TraceEvent and the Chrome export so engine
 /// tasks can be correlated with the serve-layer job that submitted them
 /// (0 = no span).
@@ -195,7 +196,7 @@ class Engine {
   /// critical path length, in tasks; computed incrementally at submit time).
   std::uint64_t critical_path_length() const;
   /// Tasks executed per priority lane (index = priority, size
-  /// kPriorityLanes) — shows how much work the lookahead lanes carried.
+  /// kPriorityLanes) — shows how much work the priority lanes carried.
   std::vector<std::uint64_t> lane_executed() const;
   /// Graph nodes not yet retired (0 once quiescent — memory is O(frontier)).
   std::size_t live_tasks() const;

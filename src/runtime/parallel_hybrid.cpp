@@ -66,6 +66,19 @@ void atomic_max(std::atomic<double>& m, double v) {
   }
 }
 
+// The fixed priority-lane map (table in parallel_hybrid.hpp): update tasks
+// on trailing column k+1+d run in lane max(0, 2 - d), so the columns feeding
+// the next two panel decisions overtake bulk trailing work. A critical/bulk
+// fold of it measured slower. Pure scheduling hints — execution order within
+// the dependences never changes results (the parity tests pin that).
+constexpr int kLanePanel = 4;
+constexpr int kLaneGate = 3;
+int lane_update(int k, int j) { return std::max(0, 2 - (j - k - 1)); }
+// A swap+apply gates every update GEMM of its column, so it runs one lane
+// above them.
+int lane_swptrsm(int k, int j) { return std::max(0, 3 - (j - k - 1)); }
+static_assert(kLanePanel < kPriorityLanes, "the lane map must fit the engine");
+
 // Shared state of one factorization run. Tasks capture a pointer to this;
 // it outlives them (the drive loop waits for the run's last task before
 // returning). The engine is either owned (historical mode: one pool per
@@ -80,7 +93,6 @@ struct Driver {
   TileMatrix<T>& a;
   Criterion& criterion;
   const HybridOptions& options;
-  SchedulerOptions sched;
   ProcessGrid grid;
   int n;                      // tile rows of the square part
   bool growth;                // options.track_growth
@@ -93,7 +105,6 @@ struct Driver {
   const bool external;  // running on a caller-provided engine
   std::mutex error_mu;
   std::exception_ptr error;            // first failure of this run
-  std::atomic<bool> failed{false};
   std::atomic<bool> completion_sent{false};
   std::promise<void> done;             // fulfilled by the completion sentinel
   std::unique_ptr<Engine> owned;
@@ -105,7 +116,6 @@ struct Driver {
       : a(a_),
         criterion(criterion_),
         options(options_),
-        sched(sched_),
         grid(options_.grid_p, options_.grid_q),
         n(a_.mt()),
         growth(options_.track_growth),
@@ -115,11 +125,10 @@ struct Driver {
         engine(*owned) {}
 
   Driver(Engine& engine_, TileMatrix<T>& a_, Criterion& criterion_,
-         const HybridOptions& options_, const SchedulerOptions& sched_)
+         const HybridOptions& options_)
       : a(a_),
         criterion(criterion_),
         options(options_),
-        sched(sched_),
         grid(options_.grid_p, options_.grid_q),
         n(a_.mt()),
         growth(options_.track_growth),
@@ -127,36 +136,9 @@ struct Driver {
         external(true),
         engine(engine_) {}
 
-  // Priority-lane mapping, graded by how directly a task gates the
-  // panel/decision chain. With lookahead L, update tasks on trailing column
-  // k+1+d run in lane max(0, L - d): the columns feeding the next L panel
-  // decisions overtake bulk trailing work. The per-step gate kernels
-  // (eliminates, QR factor kernels, restores) sit one lane above the
-  // frontier updates, the panel chain itself on top. Everything is a pure
-  // scheduling hint — execution order within the dependences never changes
-  // results (the parity tests pin that).
-  int lookahead() const {
-    return std::min(std::max(sched.lookahead, 0), kPriorityLanes - 3);
-  }
-  int lane_panel() const { return sched.priorities ? lookahead() + 2 : 0; }
-  int lane_gate() const { return sched.priorities ? lookahead() + 1 : 0; }
-  int lane_update(int k, int j) const {
-    if (!sched.priorities) return 0;
-    return std::max(0, lookahead() - (j - k - 1));
-  }
-  // A swap+apply gates every update GEMM of its column, so it runs one lane
-  // above them.
-  int lane_swptrsm(int k, int j) const {
-    if (!sched.priorities) return 0;
-    return std::max(0, lookahead() + 1 - (j - k - 1));
-  }
-
   void record_error(std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lk(error_mu);
-      if (!error) error = std::move(e);
-    }
-    failed.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lk(error_mu);
+    if (!error) error = std::move(e);
   }
 
   void rethrow_if_failed() {
@@ -191,16 +173,15 @@ struct Driver {
   // every task of this factorization (each of them declares at least one
   // tile access) and after nothing else on the shared engine. Idempotent —
   // failure paths and the regular chain end may race to send it.
-  TaskId submit_completion() {
-    if (completion_sent.exchange(true)) return 0;
+  void submit_completion() {
+    if (completion_sent.exchange(true)) return;
     std::vector<Dep> deps;
     deps.reserve(static_cast<std::size_t>(a.mt()) * a.nt());
     for (int j = 0; j < a.nt(); ++j)
       for (int i = 0; i < a.mt(); ++i)
         deps.push_back({a.tile_key(i, j), Access::Read});
     Driver* d = this;
-    return engine.submit([d] { d->done.set_value(); }, deps,
-                         {"job-done", 0, -1});
+    engine.submit([d] { d->done.set_value(); }, deps, {"job-done", 0, -1});
   }
 };
 
@@ -250,7 +231,7 @@ void submit_staging(Driver<T>& d, const Staging<T>& stage) {
             atomic_max(dp->initial_max, best);
           }
         },
-        deps, {"stage", d.lane_update(-1, j0), -1});
+        deps, {"stage", lane_update(-1, j0), -1});
   }
 }
 
@@ -295,7 +276,7 @@ void submit_lu_step(Driver<T>& d, StepContext<T>& ctx) {
           kern::trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
                      std::as_const(a).tile(k, k), akj);
         },
-        deps, {"swptrsm", d.lane_swptrsm(k, j), k});
+        deps, {"swptrsm", lane_swptrsm(k, j), k});
   }
   // Eliminate non-domain rows (every next-column GEMM needs its row's
   // eliminate, so these are critical-path too).
@@ -308,7 +289,7 @@ void submit_lu_step(Driver<T>& d, StepContext<T>& ctx) {
                      std::as_const(a).tile(k, k), aik);
         },
         {{a.tile_key(i, k), Access::ReadWrite}, {a.tile_key(k, k), Access::Read}},
-        {"trsm", d.lane_gate(), k});
+        {"trsm", kLaneGate, k});
   }
   // Embarrassingly parallel trailing update. The GEMM is the final writer
   // of trailing tile (i, j) in this step, so it contributes the growth term.
@@ -330,7 +311,7 @@ void submit_lu_step(Driver<T>& d, StepContext<T>& ctx) {
           {{a.tile_key(i, j), Access::ReadWrite},
            {a.tile_key(i, k), Access::Read},
            {a.tile_key(k, j), Access::Read}},
-          {"gemm", d.lane_update(k, j), k});
+          {"gemm", lane_update(k, j), k});
     }
   }
 }
@@ -360,7 +341,7 @@ void submit_qr_step(Driver<T>& d, StepContext<T>& ctx,
                 tile(i, j) = buf[static_cast<std::size_t>(j) * nb + i];
           }
         },
-        deps, {"restore", d.lane_gate(), k});
+        deps, {"restore", kLaneGate, k});
   }
 
   const auto list = hqr::elimination_list(d.grid.panel_domains(k, n), d.options.tree);
@@ -400,7 +381,7 @@ void submit_qr_step(Driver<T>& d, StepContext<T>& ctx,
     d.submit(
         [&a, row, k, t] { kern::geqrt(a.tile(row, k), t->view()); },
         {{a.tile_key(row, k), Access::ReadWrite}, {t->data(), Access::Write}},
-        {"geqrt", d.lane_gate(), k});
+        {"geqrt", kLaneGate, k});
     for (int j = k + 1; j < nt; ++j) {
       d.submit(
           [&a, row, j, k, t] {
@@ -410,7 +391,7 @@ void submit_qr_step(Driver<T>& d, StepContext<T>& ctx,
           {{a.tile_key(row, j), Access::ReadWrite},
            {a.tile_key(row, k), Access::Read},
            {t->data(), Access::Read}},
-          {"unmqr", d.lane_update(k, j), k});
+          {"unmqr", lane_update(k, j), k});
     }
   }
 
@@ -429,7 +410,7 @@ void submit_qr_step(Driver<T>& d, StepContext<T>& ctx,
         {{a.tile_key(e.killer, k), Access::ReadWrite},
          {a.tile_key(e.killed, k), Access::ReadWrite},
          {t->data(), Access::Write}},
-        {ts ? "tsqrt" : "ttqrt", d.lane_gate(), k});
+        {ts ? "tsqrt" : "ttqrt", kLaneGate, k});
     for (int j = k + 1; j < nt; ++j) {
       // A row is killed exactly once and never reappears in the list, so
       // this update performs the final write of tile (killed, j) this step
@@ -457,20 +438,18 @@ void submit_qr_step(Driver<T>& d, StepContext<T>& ctx,
            {a.tile_key(e.killed, j), Access::ReadWrite},
            {a.tile_key(e.killed, k), Access::Read},
            {t->data(), Access::Read}},
-          {ts ? "tsmqr" : "ttmqr", d.lane_update(k, j), k});
+          {ts ? "tsmqr" : "ttmqr", lane_update(k, j), k});
     }
   }
 }
 
 template <typename T>
-TaskId submit_step(Driver<T>& d, int k);
+void submit_step(Driver<T>& d, int k);
 
-// The post-decision half of the paper's Propagate task: record the step,
-// fan out the LU or QR update graph, and (Continuation mode) submit the
-// next step's panel. Runs inside the panel task in Continuation mode, on
-// the submitting thread in JoinPerStep mode — the code path is identical,
-// which is what keeps the two modes (and the sequential driver) bitwise
-// interchangeable.
+// The post-decision half of the paper's Propagate task, run inside the
+// panel task: record the step, fan out the LU or QR update graph, and submit
+// the next step's panel (or, at the chain's end on an external engine, the
+// run's completion sentinel).
 template <typename T>
 void record_and_submit(Driver<T>& d, int k) {
   StepContext<T>* c = d.steps[static_cast<std::size_t>(k)].get();
@@ -505,12 +484,10 @@ void record_and_submit(Driver<T>& d, int k) {
     submit_qr_step(d, *c, step_log);
   }
 
-  if (d.sched.mode == SubmitMode::Continuation) {
-    if (k + 1 < d.n)
-      submit_step(d, k + 1);
-    else if (d.external)
-      d.submit_completion();  // chain end: this run's sentinel
-  }
+  if (k + 1 < d.n)
+    submit_step(d, k + 1);
+  else if (d.external)
+    d.submit_completion();  // chain end: this run's sentinel
 }
 
 // Submit the panel/decision task for step k. Its dependences on the column-k
@@ -518,7 +495,7 @@ void record_and_submit(Driver<T>& d, int k) {
 // panels themselves sequentially — which is what lets the decision chain
 // append to stats/log without extra synchronization.
 template <typename T>
-TaskId submit_step(Driver<T>& d, int k) {
+void submit_step(Driver<T>& d, int k) {
   d.steps[static_cast<std::size_t>(k)] = std::make_unique<StepContext<T>>();
   StepContext<T>* c = d.steps[static_cast<std::size_t>(k)].get();
 
@@ -542,25 +519,24 @@ TaskId submit_step(Driver<T>& d, int k) {
       deps.push_back({d.a.tile_key(i, k), Access::Read});
 
   const bool exact = d.options.exact_inv_norm;
-  const bool continuation = d.sched.mode == SubmitMode::Continuation;
   Driver<T>* dp = &d;
   // Submitted raw (not via Driver::submit): on an external engine a panel
   // failure must not just be recorded — it cuts the decision chain, so the
   // panel itself routes the error and sends the completion sentinel in the
   // chain's stead (otherwise the waiting driver thread would never wake).
-  return d.engine.submit(
-      [dp, c, k, domain_rows, exact, continuation] {
+  d.engine.submit(
+      [dp, c, k, domain_rows, exact] {
         try {
           c->pf = core::factor_panel(dp->a, k, domain_rows, exact, c->backup);
           c->lu = dp->criterion.accept_lu(c->pf.stats);
-          if (continuation) record_and_submit(*dp, k);
+          record_and_submit(*dp, k);
         } catch (...) {
           if (!dp->external) throw;  // owned engine: captured globally, as before
           dp->record_error(std::current_exception());
-          if (continuation) dp->submit_completion();
+          dp->submit_completion();
         }
       },
-      deps, {"panel", d.lane_panel(), k});
+      deps, {"panel", kLanePanel, k});
 }
 
 // Submission/wait phase plus the post-drain bookkeeping, shared by the
@@ -590,19 +566,8 @@ core::FactorizationStatsT<T> drive(Driver<T>& d, core::TransformLogT<T>* log,
     } else if (d.growth) {
       d.initial_max = core::max_trailing_tile_norm(d.a, 0);
     }
-    if (d.sched.mode == SubmitMode::JoinPerStep) {
-      // Historical mode: the submitting thread blocks on each step's
-      // decision while the workers keep draining earlier steps' updates.
-      for (int k = 0; k < d.n; ++k) {
-        const TaskId panel_id = submit_step(d, k);
-        d.engine.wait(panel_id);
-        if (d.external && d.failed.load(std::memory_order_acquire)) break;
-        record_and_submit(d, k);
-      }
-    } else if (d.n > 0) {
-      // Continuation mode: seed step 0; the decision chain submits the rest.
-      submit_step(d, 0);
-    }
+    // Seed step 0; the decision chain submits the rest.
+    if (d.n > 0) submit_step(d, 0);
   } catch (...) {
     // Owned engine: propagate as before (the engine member drains in the
     // Driver's destruction). External engine: the driver must stay alive
@@ -614,11 +579,9 @@ core::FactorizationStatsT<T> drive(Driver<T>& d, core::TransformLogT<T>* log,
   }
 
   if (d.external) {
-    // In join mode (and for an empty matrix) every task is submitted by
-    // this thread, so it sends the sentinel itself; in continuation mode
-    // the decision chain sends it. submit_completion is idempotent.
-    if (d.sched.mode == SubmitMode::JoinPerStep || d.n == 0)
-      d.submit_completion();
+    // The decision chain sends the sentinel; with no steps (an empty
+    // matrix) this thread does. submit_completion is idempotent.
+    if (d.n == 0) d.submit_completion();
     d.done.get_future().wait();
     d.rethrow_if_failed();
   } else {
@@ -704,7 +667,7 @@ core::FactorizationStatsT<T> parallel_hybrid_factor_on(
   LUQR_REQUIRE(!sched.trace,
                "per-task tracing needs a quiescent engine of its own; it is "
                "unavailable on a shared engine");
-  Driver<T> d(engine, a, criterion, options, sched);
+  Driver<T> d(engine, a, criterion, options);
   return drive(d, log, sched, sched_stats, stage);
 }
 

@@ -10,13 +10,24 @@
 //   QR path:  restore task, then GEQRT/TSQRT/TTQRT factor tasks each
 //             fanning out per-column UNMQR/TSMQR/TTMQR update tasks
 //
-// In the default Continuation mode the panel task is the paper's Propagate
-// selection task: it decides LU-vs-QR *inside the dataflow* and submits the
-// step's updates plus the next step's panel itself, so the submitting thread
-// never joins and the workers keep lookahead across as many steps as the
-// dependences allow. SchedulerOptions selects the historical join-per-step
-// mode, toggles critical-path priorities, and enables the per-task timing
-// trace (see runtime/scheduler.hpp).
+// The panel task is the paper's Propagate selection task: it decides
+// LU-vs-QR *inside the dataflow* and submits the step's updates plus the
+// next step's panel itself, so the submitting thread never joins and the
+// workers keep lookahead across as many steps as the dependences allow.
+//
+// Tasks of step k run in a fixed engine priority lane, graded by how
+// directly they gate the next panel decisions (a column's distance from the
+// panel is d = j - k - 1):
+//   panel chain                                   lane 4
+//   gates: eliminate trsm, geqrt/tsqrt/ttqrt,
+//          restore                                lane 3
+//   swptrsm on column k+1+d                       lane max(0, 3 - d)
+//   updates (gemm, unmqr, tsmqr, ttmqr) on
+//          column k+1+d, and staging chunks       lane max(0, 2 - d)
+// (staging is step -1; a chunk is graded by its first column). The lanes are
+// pure scheduling hints: results are bitwise the same under any order the
+// dependences allow. SchedulerOptions only adds observation: the per-task
+// trace, the audit and chaos scheduling (see runtime/scheduler.hpp).
 #pragma once
 
 #include "core/solve.hpp"
@@ -49,7 +60,7 @@ struct SchedulerStats {
   std::uint64_t tasks_executed = 0;
   std::uint64_t steals = 0;
   /// Longest dependence chain of the submitted task graph (in tasks) — the
-  /// DAG critical path the lookahead lanes are racing.
+  /// DAG critical path the priority lanes are racing.
   std::uint64_t critical_path = 0;
   /// Tasks executed per engine priority lane (index = priority).
   std::vector<std::uint64_t> lane_tasks;

@@ -1,10 +1,11 @@
-// Scheduler knobs for the task-parallel driver (shared with the api layer).
+// Options of the task-parallel driver (shared with the api layer).
 //
 // The paper expresses the run-time LU/QR fork as selection (Propagate) tasks
-// *inside* the dataflow so workers keep deep lookahead across steps. The
-// driver supports both that continuation style and the historical
-// join-per-step style, selectable here; the remaining knobs control the
-// engine's critical-path priorities and the per-task timing trace.
+// *inside* the dataflow so workers keep deep lookahead across steps; the
+// driver runs exactly that policy, with a fixed priority-lane map (see
+// runtime/parallel_hybrid.hpp). What remains configurable is observation:
+// the per-task timing trace, the dataflow audit, and the engine's
+// adversarial schedule exploration.
 #pragma once
 
 #include <cstdint>
@@ -12,32 +13,8 @@
 
 namespace luqr::rt {
 
-/// How the driver advances from one panel step to the next.
-enum class SubmitMode {
-  /// The submitting thread blocks on every step's panel/decision task and
-  /// submits the follow-up tasks itself (lookahead limited to one decision
-  /// frontier — the pre-refactor behavior, kept as a baseline).
-  JoinPerStep,
-  /// The panel task itself decides LU-vs-QR and submits the step's updates
-  /// plus the next step's panel (the paper's Propagate selection task). The
-  /// submitting thread never joins until the whole factorization drains.
-  Continuation,
-};
-
-/// Scheduling configuration for parallel_hybrid_factor.
+/// Observation options for parallel_hybrid_factor.
 struct SchedulerOptions {
-  SubmitMode mode = SubmitMode::Continuation;
-  /// Give critical-path tasks (panel/decision, and the updates that unblock
-  /// the next panel column) elevated engine priority.
-  bool priorities = true;
-  /// Lookahead depth of the priority grading (with priorities on): update
-  /// tasks on trailing column k+1+d run in lane max(0, lookahead - d), so
-  /// the columns feeding the next `lookahead` panel decisions overtake bulk
-  /// trailing work; the panel chain itself sits two lanes above that and the
-  /// per-step gate kernels (eliminates, QR factor kernels, restores) one.
-  /// Clamped to the engine's lane budget (rt::kPriorityLanes). 0 keeps only
-  /// the panel/gate split.
-  int lookahead = 2;
   /// Record per-task timing in the engine (needed for trace_path and for
   /// SchedulerStats::trace).
   bool trace = false;

@@ -354,21 +354,7 @@ TEST(DriverAudit, AllQrFactorizationPasses) {
   EXPECT_EQ(stats.audit_hb_violations, 0u);
 }
 
-TEST(DriverAudit, JoinPerStepModePasses) {
-  const auto dense = gen::generate(gen::MatrixKind::Random, 64, 23);
-  TileMatrix<double> tiles = TileMatrix<double>::from_dense(dense, 16);
-  MaxCriterion criterion(4.0);
-  SchedulerOptions sched;
-  sched.audit = true;
-  sched.mode = SubmitMode::JoinPerStep;
-  SchedulerStats stats;
-  parallel_hybrid_factor(tiles, criterion, {}, 3, nullptr, sched, &stats);
-  EXPECT_GT(stats.audited_tasks, 0u);
-  EXPECT_EQ(stats.audit_access_violations, 0u);
-  EXPECT_EQ(stats.audit_hb_violations, 0u);
-}
-
-TEST(DriverAudit, StagedInputPassesInBothSubmitModes) {
+TEST(DriverAudit, StagedInputPasses) {
   // The staging tasks fill uninitialized tiles and the retained copy on the
   // workers; their Write declarations must cover what they touch, and every
   // step task must be ordered after the staging of its tiles.
@@ -378,29 +364,26 @@ TEST(DriverAudit, StagedInputPassesInBothSubmitModes) {
   core::HybridOptions opt;
   opt.grid_p = 2;
   opt.track_growth = true;
-  for (const SubmitMode mode : {SubmitMode::Continuation, SubmitMode::JoinPerStep}) {
-    TileMatrix<double> ref = want;
-    MaxCriterion ref_criterion(4.0);
-    const auto ref_stats = core::hybrid_factor(ref, ref_criterion, opt);
+  TileMatrix<double> ref = want;
+  MaxCriterion ref_criterion(4.0);
+  const auto ref_stats = core::hybrid_factor(ref, ref_criterion, opt);
 
-    auto tiles = TileMatrix<double>::uninitialized(want.mt(), want.nt(), nb);
-    Matrix<double> copy = Matrix<double>::uninitialized(n, n);
-    MaxCriterion criterion(4.0);
-    SchedulerOptions sched;
-    sched.audit = true;
-    sched.mode = mode;
-    SchedulerStats stats;
-    const auto got = parallel_hybrid_factor(tiles, criterion, opt, 3, nullptr, sched,
-                                            &stats, {&dense, &copy});
-    EXPECT_GT(stats.audited_tasks, 0u);
-    EXPECT_EQ(stats.audit_access_violations, 0u);
-    EXPECT_EQ(stats.audit_hb_violations, 0u);
-    EXPECT_EQ(got.growth_factor, ref_stats.growth_factor);
-    for (int j = 0; j < n; ++j)
-      for (int i = 0; i < n; ++i) ASSERT_EQ(copy(i, j), dense(i, j));
-    for (int j = 0; j < ref.cols(); ++j)
-      for (int i = 0; i < ref.rows(); ++i) ASSERT_EQ(tiles.at(i, j), ref.at(i, j));
-  }
+  auto tiles = TileMatrix<double>::uninitialized(want.mt(), want.nt(), nb);
+  Matrix<double> copy = Matrix<double>::uninitialized(n, n);
+  MaxCriterion criterion(4.0);
+  SchedulerOptions sched;
+  sched.audit = true;
+  SchedulerStats stats;
+  const auto got = parallel_hybrid_factor(tiles, criterion, opt, 3, nullptr, sched,
+                                          &stats, {&dense, &copy});
+  EXPECT_GT(stats.audited_tasks, 0u);
+  EXPECT_EQ(stats.audit_access_violations, 0u);
+  EXPECT_EQ(stats.audit_hb_violations, 0u);
+  EXPECT_EQ(got.growth_factor, ref_stats.growth_factor);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) ASSERT_EQ(copy(i, j), dense(i, j));
+  for (int j = 0; j < ref.cols(); ++j)
+    for (int i = 0; i < ref.rows(); ++i) ASSERT_EQ(tiles.at(i, j), ref.at(i, j));
 }
 
 // ---------------------------------------------------------------------------

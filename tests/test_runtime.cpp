@@ -1,13 +1,15 @@
 // Tests for the dataflow engine (dependency inference, continuations,
 // priorities, work-stealing, retirement, stress) and the task-parallel
-// hybrid driver (bitwise agreement with the sequential one in both
-// scheduler modes).
+// hybrid driver (bitwise agreement with the sequential one, and its fixed
+// priority-lane map).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <numeric>
+#include <set>
 
 #include "core/hybrid.hpp"
 #include "core/solve.hpp"
@@ -295,7 +297,7 @@ void expect_bitwise_equal_solve(const Matrix<double>& a, const Matrix<double>& b
                                 int nb, int threads) {
   MaxCriterion c1(alpha), c2(alpha);
   const auto seq = core::hybrid_solve(a, b, c1, nb, opt);
-  // parallel_hybrid_solve runs the default scheduler (continuation mode).
+  // parallel_hybrid_solve runs the driver's one scheduling policy.
   const auto par = parallel_hybrid_solve(a, b, c2, nb, opt, threads);
   ASSERT_EQ(seq.stats.lu_steps, par.stats.lu_steps);
   ASSERT_EQ(seq.stats.qr_steps, par.stats.qr_steps);
@@ -304,15 +306,14 @@ void expect_bitwise_equal_solve(const Matrix<double>& a, const Matrix<double>& b
       ASSERT_EQ(seq.x(i, j), par.x(i, j)) << "element " << i << "," << j;
 }
 
-// Factor a fresh tiling of `a` with the given scheduler and return the tiles.
+// Factor a fresh tiling of `a` on `threads` workers and return the tiles.
 TileMatrix<double> factor_tiles(const Matrix<double>& a, double alpha, int nb,
                                 const core::HybridOptions& opt, int threads,
-                                const SchedulerOptions& sched,
                                 core::FactorizationStats* stats_out = nullptr,
                                 core::TransformLog* log = nullptr) {
   TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, nb);
   MaxCriterion criterion(alpha);
-  auto stats = parallel_hybrid_factor(tiles, criterion, opt, threads, log, sched);
+  auto stats = parallel_hybrid_factor(tiles, criterion, opt, threads, log);
   if (stats_out) *stats_out = std::move(stats);
   return tiles;
 }
@@ -369,9 +370,9 @@ TEST(ParallelHybrid, QrStepsWithAllTrees) {
   }
 }
 
-TEST(ParallelHybrid, ContinuationAndJoinModesMatchSerialBitwise) {
-  // The tentpole property: both scheduler modes reproduce the sequential
-  // factors and TransformLog exactly, element for element.
+TEST(ParallelHybrid, FactorsAndTransformLogMatchSerialBitwise) {
+  // The tentpole property: the task graph reproduces the sequential factors
+  // and TransformLog exactly, element for element.
   const auto a = gen::generate(gen::MatrixKind::Random, 96, 21);
   core::HybridOptions opt;
   opt.grid_p = 2;
@@ -385,47 +386,82 @@ TEST(ParallelHybrid, ContinuationAndJoinModesMatchSerialBitwise) {
   const auto serial_stats =
       core::hybrid_factor(serial_tiles, serial_crit, opt, &serial_log);
 
-  for (SubmitMode mode : {SubmitMode::JoinPerStep, SubmitMode::Continuation}) {
-    SchedulerOptions sched;
-    sched.mode = mode;
-    core::FactorizationStats stats;
-    core::TransformLog log;
-    const auto tiles =
-        factor_tiles(a, alpha, nb, opt, threads, sched, &stats, &log);
-    const char* label =
-        mode == SubmitMode::Continuation ? "continuation" : "join";
-    ASSERT_EQ(stats.lu_steps, serial_stats.lu_steps) << label;
-    ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps) << label;
-    expect_tiles_equal(tiles, serial_tiles, label);
-    // TransformLog replay order must match step by step.
-    ASSERT_EQ(log.size(), serial_log.size()) << label;
-    for (std::size_t k = 0; k < log.size(); ++k) {
-      EXPECT_EQ(log[k].lu, serial_log[k].lu) << label << " step " << k;
-      EXPECT_EQ(log[k].piv, serial_log[k].piv) << label << " step " << k;
-      EXPECT_EQ(log[k].domain_rows, serial_log[k].domain_rows)
-          << label << " step " << k;
-      ASSERT_EQ(log[k].qr_ops.size(), serial_log[k].qr_ops.size())
-          << label << " step " << k;
-    }
+  core::FactorizationStats stats;
+  core::TransformLog log;
+  const auto tiles = factor_tiles(a, alpha, nb, opt, threads, &stats, &log);
+  ASSERT_EQ(stats.lu_steps, serial_stats.lu_steps);
+  ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps);
+  expect_tiles_equal(tiles, serial_tiles, "parallel");
+  // TransformLog replay order must match step by step.
+  ASSERT_EQ(log.size(), serial_log.size());
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    EXPECT_EQ(log[k].lu, serial_log[k].lu) << "step " << k;
+    EXPECT_EQ(log[k].piv, serial_log[k].piv) << "step " << k;
+    EXPECT_EQ(log[k].domain_rows, serial_log[k].domain_rows) << "step " << k;
+    ASSERT_EQ(log[k].qr_ops.size(), serial_log[k].qr_ops.size()) << "step " << k;
   }
 }
 
-TEST(ParallelHybrid, PrioritiesOffStillBitwiseIdentical) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 80, 23);
+TEST(ParallelHybrid, TasksRunInTheFixedLaneMap) {
+  // Every task's engine lane, read back from the trace, against the map in
+  // parallel_hybrid.hpp. Update-like tasks of step k come one per trailing
+  // column j = k+1+d for each row or elimination, so their lanes per
+  // (name, step) must be that many copies of the per-column grading.
+  const int n = 96, nb = 16, nt = n / nb;
+  const auto a = gen::generate(gen::MatrixKind::Random, n, 29);
   core::HybridOptions opt;
   opt.grid_p = 2;
-  SchedulerOptions plain;
-  SchedulerOptions unprioritized;
-  unprioritized.priorities = false;
-  const auto x = factor_tiles(a, 20.0, 16, opt, 4, plain);
-  const auto y = factor_tiles(a, 20.0, 16, opt, 4, unprioritized);
-  expect_tiles_equal(x, y, "priorities-off");
+  opt.grid_q = 2;
+  SchedulerOptions sched;
+  sched.trace = true;
+  SchedulerStats sched_stats;
+  TileMatrix<double> tiles = TileMatrix<double>::uninitialized(nt, nt, nb);
+  MaxCriterion criterion(50.0);  // steps L L Q L Q L
+  // Two workers stage one tile column per chunk (max(1, nt / (4 * 2)) = 1),
+  // so the staging tasks are graded per column too.
+  const auto stats =
+      parallel_hybrid_factor(tiles, criterion, opt, 2, nullptr, sched,
+                             &sched_stats, Staging<double>{&a, nullptr});
+  ASSERT_GT(stats.lu_steps, 0);
+  ASSERT_GT(stats.qr_steps, 0);
+
+  const std::set<std::string> gates = {"trsm", "geqrt", "tsqrt", "ttqrt",
+                                       "restore"};
+  const std::set<std::string> graded = {"swptrsm", "gemm",  "unmqr",
+                                        "tsmqr",   "ttmqr", "stage"};
+  std::map<std::pair<std::string, int>, std::multiset<int>> by_step;
+  for (const auto& e : sched_stats.trace) {
+    if (e.name == "panel") {
+      EXPECT_EQ(e.priority, 4) << "panel of step " << e.tag;
+    } else if (gates.count(e.name)) {
+      EXPECT_EQ(e.priority, 3) << e.name << " of step " << e.tag;
+    } else if (graded.count(e.name)) {
+      by_step[{e.name, e.tag}].insert(e.priority);
+    } else {
+      ADD_FAILURE() << "unexpected task " << e.name;
+    }
+  }
+  for (const auto& key : {std::pair<std::string, int>{"stage", -1},
+                          {"swptrsm", 0}, {"gemm", 1}, {"unmqr", 2}})
+    ASSERT_TRUE(by_step.count(key)) << key.first << " of step " << key.second;
+  for (const auto& [key, lanes] : by_step) {
+    const auto& [name, k] = key;
+    const int top = name == "swptrsm" ? 3 : 2;
+    const int cols = nt - k - 1;  // trailing columns j = k+1 .. nt-1
+    ASSERT_EQ(lanes.size() % static_cast<std::size_t>(cols), 0u)
+        << name << " of step " << k;
+    const std::size_t per_col = lanes.size() / static_cast<std::size_t>(cols);
+    std::multiset<int> want;
+    for (int d = 0; d < cols; ++d)
+      for (std::size_t r = 0; r < per_col; ++r) want.insert(std::max(0, top - d));
+    EXPECT_EQ(lanes, want) << name << " of step " << k;
+  }
 }
 
 TEST(ParallelHybrid, TrackGrowthMatchesSerialBitwise) {
   // The per-step atomic max reduction sees exactly the final tile values
   // the sequential full sweep reads, so the growth factor is identical —
-  // in both scheduler modes, for all-LU and for mixed LU/QR runs.
+  // for all-LU and for mixed LU/QR runs.
   for (double alpha : {1e30, 20.0}) {
     const auto a = gen::generate(gen::MatrixKind::Random, 96, 25);
     core::HybridOptions opt;
@@ -438,15 +474,9 @@ TEST(ParallelHybrid, TrackGrowthMatchesSerialBitwise) {
     const auto serial_stats = core::hybrid_factor(serial_tiles, serial_crit, opt);
     ASSERT_GE(serial_stats.growth_factor, 1.0);
 
-    for (SubmitMode mode : {SubmitMode::JoinPerStep, SubmitMode::Continuation}) {
-      SchedulerOptions sched;
-      sched.mode = mode;
-      core::FactorizationStats stats;
-      factor_tiles(a, alpha, 16, opt, 4, sched, &stats);
-      EXPECT_EQ(stats.growth_factor, serial_stats.growth_factor)
-          << "alpha " << alpha << " mode "
-          << (mode == SubmitMode::Continuation ? "continuation" : "join");
-    }
+    core::FactorizationStats stats;
+    factor_tiles(a, alpha, 16, opt, 4, &stats);
+    EXPECT_EQ(stats.growth_factor, serial_stats.growth_factor) << "alpha " << alpha;
   }
 }
 
@@ -482,7 +512,7 @@ TEST(Engine, IdleAndWaitIdleHooks) {
   EXPECT_EQ(ran.load(), 17);
 }
 
-TEST(ExternalEngineFactor, MatchesOwnedPoolBitwiseBothModes) {
+TEST(ExternalEngineFactor, MatchesOwnedPoolBitwise) {
   const auto a = gen::generate(gen::MatrixKind::Random, 80, 71);
   core::HybridOptions opt;
   opt.grid_p = 2;
@@ -494,30 +524,23 @@ TEST(ExternalEngineFactor, MatchesOwnedPoolBitwiseBothModes) {
       parallel_hybrid_factor(owned_tiles, c0, opt, 3, &owned_log);
 
   Engine engine(3);
-  for (SubmitMode mode : {SubmitMode::Continuation, SubmitMode::JoinPerStep}) {
-    TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, 16);
-    MaxCriterion criterion(20.0);
-    core::TransformLog log;
-    SchedulerOptions sched;
-    sched.mode = mode;
-    const auto stats =
-        parallel_hybrid_factor_on(engine, tiles, criterion, opt, &log, sched);
-    EXPECT_EQ(stats.lu_steps, owned_stats.lu_steps);
-    EXPECT_EQ(stats.qr_steps, owned_stats.qr_steps);
-    for (int tj = 0; tj < tiles.nt(); ++tj)
-      for (int ti = 0; ti < tiles.mt(); ++ti) {
-        const auto got = tiles.tile(ti, tj);
-        const auto want = owned_tiles.tile(ti, tj);
-        for (int j = 0; j < 16; ++j)
-          for (int i = 0; i < 16; ++i)
-            ASSERT_EQ(got(i, j), want(i, j))
-                << "mode " << static_cast<int>(mode) << " tile " << ti << ","
-                << tj;
-      }
-    ASSERT_EQ(log.size(), owned_log.size());
-    engine.wait_idle();
-    EXPECT_TRUE(engine.idle());
-  }
+  TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, 16);
+  MaxCriterion criterion(20.0);
+  core::TransformLog log;
+  const auto stats = parallel_hybrid_factor_on(engine, tiles, criterion, opt, &log);
+  EXPECT_EQ(stats.lu_steps, owned_stats.lu_steps);
+  EXPECT_EQ(stats.qr_steps, owned_stats.qr_steps);
+  for (int tj = 0; tj < tiles.nt(); ++tj)
+    for (int ti = 0; ti < tiles.mt(); ++ti) {
+      const auto got = tiles.tile(ti, tj);
+      const auto want = owned_tiles.tile(ti, tj);
+      for (int j = 0; j < 16; ++j)
+        for (int i = 0; i < 16; ++i)
+          ASSERT_EQ(got(i, j), want(i, j)) << "tile " << ti << "," << tj;
+    }
+  ASSERT_EQ(log.size(), owned_log.size());
+  engine.wait_idle();
+  EXPECT_TRUE(engine.idle());
 }
 
 TEST(ExternalEngineFactor, ErrorsAreIsolatedPerRun) {
@@ -535,21 +558,15 @@ TEST(ExternalEngineFactor, ErrorsAreIsolatedPerRun) {
 
   Engine engine(2);
   const auto a = gen::generate(gen::MatrixKind::Random, 64, 73);
-  for (SubmitMode mode : {SubmitMode::Continuation, SubmitMode::JoinPerStep}) {
-    TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, 16);
-    Bomb bomb;
-    SchedulerOptions sched;
-    sched.mode = mode;
-    EXPECT_THROW(parallel_hybrid_factor_on(engine, tiles, bomb, {}, nullptr, sched),
-                 Error)
-        << static_cast<int>(mode);
-    // The shared engine survives unpoisoned and keeps serving.
-    engine.wait_all();  // must NOT rethrow the bomb
-    TileMatrix<double> ok_tiles = TileMatrix<double>::from_dense(a, 16);
-    MaxCriterion fine(20.0);
-    const auto stats = parallel_hybrid_factor_on(engine, ok_tiles, fine, {});
-    EXPECT_EQ(stats.lu_steps + stats.qr_steps, 4);
-  }
+  TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, 16);
+  Bomb bomb;
+  EXPECT_THROW(parallel_hybrid_factor_on(engine, tiles, bomb, {}), Error);
+  // The shared engine survives unpoisoned and keeps serving.
+  engine.wait_all();  // must NOT rethrow the bomb
+  TileMatrix<double> ok_tiles = TileMatrix<double>::from_dense(a, 16);
+  MaxCriterion fine(20.0);
+  const auto stats = parallel_hybrid_factor_on(engine, ok_tiles, fine, {});
+  EXPECT_EQ(stats.lu_steps + stats.qr_steps, 4);
 }
 
 TEST(ExternalEngineFactor, RejectsTracing) {

@@ -132,18 +132,12 @@ TEST(SolverConfig, HybridOptionsRoundTrip) {
 
 TEST(SolverConfig, SchedulerKnobsRoundTrip) {
   rt::SchedulerOptions sched;
-  sched.mode = rt::SubmitMode::JoinPerStep;
-  sched.priorities = false;
   sched.trace = true;
   sched.trace_path = "t.json";
   const SolverConfig cfg = SolverConfig().scheduler(sched);
-  EXPECT_EQ(cfg.scheduler().mode, rt::SubmitMode::JoinPerStep);
-  EXPECT_FALSE(cfg.scheduler().priorities);
   EXPECT_TRUE(cfg.scheduler().trace);
   EXPECT_EQ(cfg.scheduler().trace_path, "t.json");
-  // Default: continuation mode with priorities, no trace.
-  EXPECT_EQ(SolverConfig().scheduler().mode, rt::SubmitMode::Continuation);
-  EXPECT_TRUE(SolverConfig().scheduler().priorities);
+  // Default: no trace.
   EXPECT_FALSE(SolverConfig().scheduler().trace);
 }
 
@@ -316,22 +310,6 @@ TEST(Solver, ConcurrentSolvesFromOneFactorization) {
                 expected[static_cast<std::size_t>(t)](i, 0))
           << "thread " << t << " row " << i;
   }
-}
-
-TEST(Solver, JoinSchedulerFactorsBitwiseIdenticalToContinuation) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 31);
-  const auto b = random_matrix(96, 1, 32);
-  const SolverConfig base = SolverConfig()
-                                .criterion(CriterionSpec::max(25.0))
-                                .tile_size(16)
-                                .grid(2, 2)
-                                .backend(Backend::Parallel)
-                                .threads(4);
-  rt::SchedulerOptions join;
-  join.mode = rt::SubmitMode::JoinPerStep;
-  const auto x_cont = Solver(base).factor(a).solve(b);
-  const auto x_join = Solver(SolverConfig(base).scheduler(join)).factor(a).solve(b);
-  for (int i = 0; i < 96; ++i) ASSERT_EQ(x_cont(i, 0), x_join(i, 0)) << i;
 }
 
 TEST(Solver, TrackGrowthOnParallelBackendMatchesSerial) {
