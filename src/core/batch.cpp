@@ -47,12 +47,12 @@ template <typename T>
 std::size_t scratch_bytes(int n, int nb) {
   if (n <= 0) return 0;
   if (nb <= 0 || nb > n) nb = n;
-  // The high-water mark is a blocked compact-WY apply (unmqr, ttmqr): four
-  // nb x nb buffers (W, dense V, dense T, W2 = op(T) W) are live while its
-  // last tile-sized GEMM packs its panels. Every other kernel (tsmqr with
-  // three buffers, the blocked panels, TRSM) stages less.
+  // The high-water mark is a blocked compact-WY apply (unmqr, tsmqr,
+  // ttmqr): two nb x nb buffers (W and W2 = op(T) W) are live while its
+  // last tile-sized GEMM packs its panels; V and T are packed straight from
+  // their tiles. Every other kernel (the blocked panels, TRSM) stages less.
   return kern::gemm_pack_scratch_bytes<T>(nb, nb, nb) +
-         static_cast<std::size_t>(4) * nb * nb * sizeof(T);
+         static_cast<std::size_t>(2) * nb * nb * sizeof(T);
 }
 
 }  // namespace

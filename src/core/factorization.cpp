@@ -195,7 +195,7 @@ void FactorizationT<T>::apply_transformations(TileMatrix<T>& b) const {
 // alone and runs its inner updates through the packed GEMM unconditionally
 // (see trsm_wants_blocked), and the row interchanges are per-column; (3) the
 // orthogonal applies (UNMQR/TSMQR/TTMQR) choose their kernel from the tile
-// shape and run every inner product through it (kernels/compact_wy.hpp),
+// shape and run every inner product through it (kernels/lapack.hpp),
 // while their small-tile loops and TRMM work column by column.
 
 template <typename T>

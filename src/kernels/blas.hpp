@@ -50,6 +50,35 @@ void gemm(GemmKernel kernel, Trans transa, Trans transb, T alpha,
           ConstMatrixView<T> a, ConstMatrixView<T> b, T beta, MatrixView<T> c,
           Workspace* ws = nullptr);
 
+/// One operand of a GEMM that is triangular or trapezoidal as stored: `side`
+/// names it (Left: A, Right: B), `uplo` the trapezoid that holds its data,
+/// and Diag::Unit an implicit unit diagonal. A Lower operand is at least as
+/// tall as wide, an Upper one at most as tall as wide.
+struct TriOperand {
+  Side side;
+  Uplo uplo;
+  Diag diag;
+};
+
+/// The packed GEMM with one operand triangular (the compact-WY products:
+/// V and T of the QR applies, V and T of GEQRT's T-factor coupling), at
+/// every size. Only the operand's `uplo` trapezoid is read — the rest of
+/// its storage may hold anything, and a unit diagonal is not read at all;
+/// the packers write the zeros and ones themselves. Each MR-row micro-panel
+/// of a triangular A runs the micro-kernel over only its structurally
+/// nonzero columns, about half the flops of a square operand, and inside
+/// the diagonal band a lane masks the columns outside its row instead of
+/// adding 0 * b; so a NaN or Inf in B reaches only the rows of C whose
+/// structural nonzeros of op(A) multiply it. A triangular B is masked in
+/// its packed panels, not skipped. The skipped terms are exact zeros: on
+/// finite input C equals gemm_blocked() on a densified copy bit for bit.
+/// Each column of C is computed independently of the others. Same
+/// footprint report, profiler scope and fault site as gemm().
+template <typename T>
+void gemm(TriOperand tri, Trans transa, Trans transb, T alpha,
+          ConstMatrixView<T> a, ConstMatrixView<T> b, T beta, MatrixView<T> c,
+          Workspace* ws = nullptr);
+
 /// The packed cache-blocked path, unconditionally (exposed so tests can
 /// exercise it at sizes the dispatcher would route to the simple loops).
 template <typename T>

@@ -103,6 +103,127 @@ void gemm_tt(T alpha, const ConstMatrixView<T>& a, const ConstMatrixView<T>& b,
   }
 }
 
+// The structure of op(A) in a packed block product.
+enum PanelKind { kDense, kUpper, kLower };
+
+// The macro-kernel: every MR x NR micro-tile of one packed (mc x kc) x
+// (kc x nc) block product, added into C at c (leading dimension ldc). For
+// a triangular op(A) (rows from i0, packed columns from p0) each micro-panel
+// runs only its tri_panel_cols, and skips a KC block that holds none.
+template <typename T, PanelKind kKind>
+void macro_kernel(int mc, int nc, int kc, int i0, int p0, const T* apack,
+                  const T* bpack, T* c, int ldc) {
+  constexpr int MR = MicroTile<T>::MR;
+  constexpr int NR = MicroTile<T>::NR;
+  alignas(kCacheLineBytes) T ctmp[MR * NR];
+  for (int jr = 0; jr < nc; jr += NR) {
+    const int nr = std::min(NR, nc - jr);
+    const T* bp = bpack + static_cast<std::ptrdiff_t>(jr) * kc;
+    for (int ir = 0; ir < mc; ir += MR) {
+      const int mr = std::min(MR, mc - ir);
+      const T* ap = apack + static_cast<std::ptrdiff_t>(ir) * kc;
+      ColRange cols{0, kc};
+      if constexpr (kKind != kDense) {
+        cols = tri_panel_cols({kKind == kUpper, false}, i0 + ir, mr, p0, kc);
+        if (cols.lo >= cols.hi) continue;
+      }
+      const auto run = [&](T* dst, int ld) {
+        if constexpr (kKind == kDense) {
+          microkernel<T>(kc, ap, bp, dst, ld);
+        } else {
+          microkernel_tri<T, kKind == kUpper>(cols.lo, cols.hi, i0 + ir - p0,
+                                              ap, bp, dst, ld);
+        }
+      };
+      T* cblk = c + ir + static_cast<std::ptrdiff_t>(jr) * ldc;
+      if (mr == MR && nr == NR) {
+        run(cblk, ldc);
+      } else {
+        // Edge micro-tile: run full-width into a scratch tile, write back
+        // only the live mr x nr corner (same summation order as the aligned
+        // path: zero-init accumulate, then one add to C).
+        for (int i = 0; i < MR * NR; ++i) ctmp[i] = T(0);
+        run(ctmp, MR);
+        for (int j = 0; j < nr; ++j)
+          for (int i = 0; i < mr; ++i)
+            cblk[i + static_cast<std::ptrdiff_t>(j) * ldc] += ctmp[i + j * MR];
+      }
+    }
+  }
+}
+
+// The packed GEMM (gemm_blocked), optionally with one triangular operand.
+// A triangular A packs and runs each MR-row micro-panel over its
+// tri_panel_cols only, through microkernel_tri; a triangular B is masked
+// in its packed panels.
+template <typename T>
+void gemm_packed(const TriOperand* tri, Trans transa, Trans transb, T alpha,
+                 const ConstMatrixView<T>& a, const ConstMatrixView<T>& b,
+                 T beta, const MatrixView<T>& c, Workspace* wsp) {
+  constexpr int MR = MicroTile<T>::MR;
+  constexpr int NR = MicroTile<T>::NR;
+  const int m = c.rows, n = c.cols;
+  const int k = checked_k(transa, transb, a, b, c);
+  scale_c(beta, c);
+  if (alpha == T(0) || m == 0 || n == 0 || k == 0) return;
+
+  const bool tri_a = tri && tri->side == Side::Left;
+  const OpTriangle s =
+      tri ? op_triangle(tri->uplo, tri->diag, tri_a ? transa : transb)
+          : OpTriangle{};
+  const OpTriangle* sa = tri_a ? &s : nullptr;
+  const OpTriangle* sb = tri && !tri_a ? &s : nullptr;
+
+  const GemmBlocking& bl = gemm_blocking();
+  Workspace& ws = workspace_or_tls(wsp);
+  Workspace::Frame frame(ws);
+  // Panel buffers sized to the smaller of the blocking limit and the actual
+  // problem, rounded up to whole micro-panels.
+  const int mc_cap = std::min((m + MR - 1) / MR * MR, (bl.mc + MR - 1) / MR * MR);
+  const int nc_cap = std::min((n + NR - 1) / NR * NR, (bl.nc + NR - 1) / NR * NR);
+  const int kc_cap = std::min(k, bl.kc);
+  T* apack = ws.alloc<T>(static_cast<std::size_t>(mc_cap) * kc_cap);
+  T* bpack = ws.alloc<T>(static_cast<std::size_t>(kc_cap) * nc_cap);
+
+  for (int jc = 0; jc < n; jc += bl.nc) {
+    const int nc = std::min(bl.nc, n - jc);
+    for (int pc = 0; pc < k; pc += bl.kc) {
+      const int kc = std::min(bl.kc, k - pc);
+      pack_b_panel<T, NR>(transb, alpha, kc, nc, b, pc, jc, bpack, sb);
+      for (int ic = 0; ic < m; ic += bl.mc) {
+        const int mc = std::min(bl.mc, m - ic);
+        pack_a_panel<T, MR>(transa, mc, kc, a, ic, pc, apack, sa);
+        T* cblk = &c(ic, jc);
+        if (!tri_a) {
+          macro_kernel<T, kDense>(mc, nc, kc, ic, pc, apack, bpack, cblk, c.ld);
+        } else if (s.upper) {
+          macro_kernel<T, kUpper>(mc, nc, kc, ic, pc, apack, bpack, cblk, c.ld);
+        } else {
+          macro_kernel<T, kLower>(mc, nc, kc, ic, pc, apack, bpack, cblk, c.ld);
+        }
+      }
+    }
+  }
+}
+
+// gemm()'s wrapper around every product: the audited-task footprint report
+// (a no-op without an installed listener), the profiler scope and the
+// kGemmNan fault site.
+template <typename T, typename Body>
+void gemm_entry(const ConstMatrixView<T>& a, const ConstMatrixView<T>& b,
+                const MatrixView<T>& c, int k, Body&& body) {
+  note_read(a);
+  note_read(b);
+  note_write(c);
+  obs::KernelScope prof(obs::KernelClass::Gemm,
+                        obs::gemm_model_flops(c.rows, c.cols, k));
+  body();
+  // Fault site: poison one output element with a quiet NaN — downstream
+  // layers must detect the non-finite result, never cache it, and recover.
+  if (fault::should_fire(fault::site::kGemmNan) && c.rows > 0 && c.cols > 0)
+    c(0, 0) = std::numeric_limits<T>::quiet_NaN();
+}
+
 }  // namespace
 
 template <typename T>
@@ -126,80 +247,35 @@ template <typename T>
 void gemm_blocked(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
                   ConstMatrixView<T> b, T beta, MatrixView<T> c,
                   Workspace* wsp) {
-  constexpr int MR = MicroTile<T>::MR;
-  constexpr int NR = MicroTile<T>::NR;
-  const int m = c.rows, n = c.cols;
-  const int k = checked_k(transa, transb, a, b, c);
-  scale_c(beta, c);
-  if (alpha == T(0) || m == 0 || n == 0 || k == 0) return;
-
-  const GemmBlocking& bl = gemm_blocking();
-  Workspace& ws = workspace_or_tls(wsp);
-  Workspace::Frame frame(ws);
-  // Panel buffers sized to the smaller of the blocking limit and the actual
-  // problem, rounded up to whole micro-panels.
-  const int mc_cap = std::min((m + MR - 1) / MR * MR, (bl.mc + MR - 1) / MR * MR);
-  const int nc_cap = std::min((n + NR - 1) / NR * NR, (bl.nc + NR - 1) / NR * NR);
-  const int kc_cap = std::min(k, bl.kc);
-  T* apack = ws.alloc<T>(static_cast<std::size_t>(mc_cap) * kc_cap);
-  T* bpack = ws.alloc<T>(static_cast<std::size_t>(kc_cap) * nc_cap);
-  alignas(kCacheLineBytes) T ctmp[MR * NR];
-
-  for (int jc = 0; jc < n; jc += bl.nc) {
-    const int nc = std::min(bl.nc, n - jc);
-    for (int pc = 0; pc < k; pc += bl.kc) {
-      const int kc = std::min(bl.kc, k - pc);
-      pack_b_panel<T, NR>(transb, alpha, kc, nc, b, pc, jc, bpack);
-      for (int ic = 0; ic < m; ic += bl.mc) {
-        const int mc = std::min(bl.mc, m - ic);
-        pack_a_panel<T, MR>(transa, mc, kc, a, ic, pc, apack);
-        for (int jr = 0; jr < nc; jr += NR) {
-          const int nr = std::min(NR, nc - jr);
-          const T* bp = bpack + static_cast<std::ptrdiff_t>(jr) * kc;
-          for (int ir = 0; ir < mc; ir += MR) {
-            const int mr = std::min(MR, mc - ir);
-            const T* ap = apack + static_cast<std::ptrdiff_t>(ir) * kc;
-            T* cblk = &c(ic + ir, jc + jr);
-            if (mr == MR && nr == NR) {
-              microkernel<T>(kc, ap, bp, cblk, c.ld);
-            } else {
-              // Edge micro-tile: run full-width into a scratch tile, write
-              // back only the live mr x nr corner (same summation order as
-              // the aligned path: zero-init accumulate, then one add to C).
-              for (int i = 0; i < MR * NR; ++i) ctmp[i] = T(0);
-              microkernel<T>(kc, ap, bp, ctmp, MR);
-              for (int j = 0; j < nr; ++j)
-                for (int i = 0; i < mr; ++i)
-                  cblk[i + static_cast<std::ptrdiff_t>(j) * c.ld] +=
-                      ctmp[i + j * MR];
-            }
-          }
-        }
-      }
-    }
-  }
+  gemm_packed<T>(nullptr, transa, transb, alpha, a, b, beta, c, wsp);
 }
 
 template <typename T>
 void gemm(GemmKernel kernel, Trans transa, Trans transb, T alpha,
           ConstMatrixView<T> a, ConstMatrixView<T> b, T beta, MatrixView<T> c,
           Workspace* ws) {
-  // Audited-task footprint report (no-op without an installed listener).
-  note_read(a);
-  note_read(b);
-  note_write(c);
   const int k = transa == Trans::No ? a.cols : a.rows;
-  obs::KernelScope prof(obs::KernelClass::Gemm,
-                        obs::gemm_model_flops(c.rows, c.cols, k));
-  if (kernel == GemmKernel::Blocked) {
-    gemm_blocked(transa, transb, alpha, a, b, beta, c, ws);
-  } else {
-    gemm_unblocked(transa, transb, alpha, a, b, beta, c);
-  }
-  // Fault site: poison one output element with a quiet NaN — downstream
-  // layers must detect the non-finite result, never cache it, and recover.
-  if (fault::should_fire(fault::site::kGemmNan) && c.rows > 0 && c.cols > 0)
-    c(0, 0) = std::numeric_limits<T>::quiet_NaN();
+  gemm_entry(a, b, c, k, [&] {
+    if (kernel == GemmKernel::Blocked) {
+      gemm_blocked(transa, transb, alpha, a, b, beta, c, ws);
+    } else {
+      gemm_unblocked(transa, transb, alpha, a, b, beta, c);
+    }
+  });
+}
+
+template <typename T>
+void gemm(TriOperand tri, Trans transa, Trans transb, T alpha,
+          ConstMatrixView<T> a, ConstMatrixView<T> b, T beta, MatrixView<T> c,
+          Workspace* ws) {
+  const ConstMatrixView<T>& x = tri.side == Side::Left ? a : b;
+  LUQR_REQUIRE(tri.uplo == Uplo::Lower ? x.rows >= x.cols : x.rows <= x.cols,
+               "gemm: a triangular operand must be a lower trapezoid at least "
+               "as tall as wide or an upper one at most as tall as wide");
+  const int k = checked_k(transa, transb, a, b, c);
+  gemm_entry(a, b, c, k, [&] {
+    gemm_packed(&tri, transa, transb, alpha, a, b, beta, c, ws);
+  });
 }
 
 template <typename T>
@@ -235,6 +311,8 @@ std::size_t gemm_pack_scratch_bytes(int m, int n, int k) {
   template void gemm<T>(Trans, Trans, T, ConstMatrixView<T>,                  \
                         ConstMatrixView<T>, T, MatrixView<T>, Workspace*);    \
   template void gemm<T>(GemmKernel, Trans, Trans, T, ConstMatrixView<T>,      \
+                        ConstMatrixView<T>, T, MatrixView<T>, Workspace*);    \
+  template void gemm<T>(TriOperand, Trans, Trans, T, ConstMatrixView<T>,      \
                         ConstMatrixView<T>, T, MatrixView<T>, Workspace*);    \
   template void gemm_blocked<T>(Trans, Trans, T, ConstMatrixView<T>,          \
                                 ConstMatrixView<T>, T, MatrixView<T>,         \

@@ -17,12 +17,20 @@
 //
 // Kernels that need scratch (the compact-WY applies and the panel
 // factorizations' work vectors) take an optional Workspace*; nullptr means
-// the calling thread's arena (each engine worker owns one). The apply
-// kernels (TSMQR/TTMQR/UNMQR) route all three products of the apply —
-// W = V^T C, W <- op(T) W and C -= V W — through the packed blocked GEMM
-// when the tile shape is above the gemm dispatch threshold, reading only
-// the upper triangle of T. The choice never depends on C's width, so each
-// column of C comes out bit-identical whatever the width of the call.
+// the calling thread's arena (each engine worker owns one).
+//
+// The apply kernels (UNMQR/TSMQR/TTMQR) choose their kernel from the tile
+// shape — V's order and height, never C's width. Above the gemm dispatch
+// threshold all three products of the apply — W = V^T C, W <- op(T) W and
+// C -= V W — are packed GEMMs whose triangular operands (T, and V of
+// UNMQR/TTMQR) are read in place through the triangle-operand gemm overload
+// (kernels/blas.hpp): only the triangles are read and their zero halves are
+// skipped. Below it UNMQR and TTMQR run their small-tile loops, and TSMQR
+// runs its two dense V products on the simple loops (op(T) W stays packed).
+// Every kernel treats the columns of C independently, so one RHS column goes
+// through exactly the arithmetic it would see inside a tile-wide call; the
+// retained factorization's exact-width solve (core/factorization.cpp)
+// relies on it.
 #pragma once
 
 #include <vector>

@@ -21,6 +21,7 @@
 // fixed per build) — never on thread count or on which worker ran the tile.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 namespace luqr::kern {
@@ -93,6 +94,97 @@ inline void microkernel(int kc, const T* __restrict__ ap,
   }
 }
 
+// Signed integer vector with the lanes of VecOf<T>: the lane masks of
+// microkernel_tri.
+template <typename T>
+struct LaneIndexOf;
+template <>
+struct LaneIndexOf<double> {
+  typedef long long lane;
+  typedef lane type __attribute__((vector_size(micro::kVecBytes)));
+};
+template <>
+struct LaneIndexOf<float> {
+  typedef int lane;
+  typedef lane type __attribute__((vector_size(micro::kVecBytes)));
+};
+
+/// microkernel() over the data of a triangular op(A) micro-panel: lane i
+/// of Ap holds data in packed column l iff l >= d + i (kUpper) or
+/// l <= d + i (lower), where d is the panel's diagonal offset. Only packed
+/// columns [lo, hi) run (tri_panel_cols in kernels/pack.hpp: those where
+/// some lane holds data). In the diagonal band, where only some lanes do,
+/// the others keep their accumulators instead of adding 0 * b. Every term
+/// that runs is the same step, in the same order, as in microkernel(), and
+/// every term skipped is an exact zero, so on finite B the result equals
+/// microkernel() over the whole zero-filled panel bit for bit, while a NaN
+/// or Inf in B reaches only the lanes whose data multiplies it.
+template <typename T, bool kUpper>
+inline void microkernel_tri(int lo, int hi, int d, const T* __restrict__ ap,
+                            const T* __restrict__ bp, T* __restrict__ c,
+                            int ldc) {
+  constexpr int W = MicroTile<T>::kLanes;
+  constexpr int NV = MicroTile<T>::kVecs;
+  constexpr int NR = MicroTile<T>::NR;
+  constexpr int MR = MicroTile<T>::MR;
+  typedef typename VecOf<T>::type vec;
+  typedef typename LaneIndexOf<T>::type ivec;
+  typedef typename LaneIndexOf<T>::lane lane_t;
+  vec acc[NV][NR];
+  for (int v = 0; v < NV; ++v)
+    for (int j = 0; j < NR; ++j) acc[v][j] = vec{};
+  ivec lane[NV];
+  for (int v = 0; v < NV; ++v)
+    for (int i = 0; i < W; ++i) lane[v][i] = static_cast<lane_t>(v * W + i);
+  const vec* a = reinterpret_cast<const vec*>(ap);
+  // The columns where every lane holds data: l >= d + MR - 1 (upper),
+  // l <= d (lower); the band is the rest of [lo, hi).
+  const int full_lo = kUpper ? std::clamp(d + MR - 1, lo, hi) : lo;
+  const int full_hi = kUpper ? hi : std::clamp(d + 1, lo, hi);
+  const auto full = [&](int l0, int l1) {
+    for (int l = l0; l < l1; ++l) {
+      const T* b = bp + static_cast<std::ptrdiff_t>(l) * NR;
+#pragma GCC unroll 8
+      for (int j = 0; j < NR; ++j) {
+        const vec bj = b[j] - vec{};  // broadcast
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) acc[v][j] += a[l * NV + v] * bj;
+      }
+    }
+  };
+  const auto band = [&](int l0, int l1) {
+    for (int l = l0; l < l1; ++l) {
+      const T* b = bp + static_cast<std::ptrdiff_t>(l) * NR;
+      const ivec s = ivec{} + static_cast<lane_t>(l - d);
+#pragma GCC unroll 8
+      for (int j = 0; j < NR; ++j) {
+        const vec bj = b[j] - vec{};  // broadcast
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) {
+          const vec t = acc[v][j] + a[l * NV + v] * bj;
+          if constexpr (kUpper) {
+            acc[v][j] = lane[v] <= s ? t : acc[v][j];
+          } else {
+            acc[v][j] = lane[v] >= s ? t : acc[v][j];
+          }
+        }
+      }
+    }
+  };
+  if constexpr (kUpper) {
+    band(lo, full_lo);
+    full(full_lo, hi);
+  } else {
+    full(lo, full_hi);
+    band(full_hi, hi);
+  }
+  for (int j = 0; j < NR; ++j) {
+    T* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;
+    for (int v = 0; v < NV; ++v)
+      for (int i = 0; i < W; ++i) cj[v * W + i] += acc[v][j][i];
+  }
+}
+
 #else  // portable fallback (MSVC, others): plain accumulator tile
 
 template <typename T>
@@ -105,6 +197,25 @@ inline void microkernel(int kc, const T* ap, const T* bp, T* c, int ldc) {
     const T* b = bp + static_cast<std::ptrdiff_t>(l) * NR;
     for (int j = 0; j < NR; ++j)
       for (int i = 0; i < MR; ++i) acc[j][i] += a[i] * b[j];
+  }
+  for (int j = 0; j < NR; ++j) {
+    T* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;
+    for (int i = 0; i < MR; ++i) cj[i] += acc[j][i];
+  }
+}
+
+template <typename T, bool kUpper>
+inline void microkernel_tri(int lo, int hi, int d, const T* ap, const T* bp,
+                            T* c, int ldc) {
+  constexpr int MR = MicroTile<T>::MR;
+  constexpr int NR = MicroTile<T>::NR;
+  T acc[NR][MR] = {};
+  for (int l = lo; l < hi; ++l) {
+    const T* a = ap + static_cast<std::ptrdiff_t>(l) * MR;
+    const T* b = bp + static_cast<std::ptrdiff_t>(l) * NR;
+    for (int j = 0; j < NR; ++j)
+      for (int i = 0; i < MR; ++i)
+        if (kUpper ? l >= d + i : l <= d + i) acc[j][i] += a[i] * b[j];
   }
   for (int j = 0; j < NR; ++j) {
     T* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;

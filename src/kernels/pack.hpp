@@ -22,6 +22,7 @@
 // arithmetic whether the serial driver or any engine worker runs it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "kernels/blas.hpp"
@@ -91,16 +92,50 @@ bool trsm_wants_blocked(int dim);
 template <typename T>
 std::size_t gemm_pack_scratch_bytes(int m, int n, int k);
 
+/// Where a triangular GEMM operand (TriOperand) holds data once op() is
+/// applied: element (r, s) of op(X) is a structural nonzero iff s >= r
+/// (upper) or s <= r (lower); `unit` makes the diagonal an implicit one.
+struct OpTriangle {
+  bool upper;
+  bool unit;
+};
+
+/// The op() structure of an operand stored as `uplo`/`diag`, used as
+/// op(X) with `trans`.
+inline OpTriangle op_triangle(Uplo uplo, Diag diag, Trans trans) {
+  return {(uplo == Uplo::Upper) == (trans == Trans::No), diag == Diag::Unit};
+}
+
+/// A half-open range of packed columns.
+struct ColRange {
+  int lo;
+  int hi;
+};
+
+/// The packed columns of the KC block [p0, p0 + kc) in which op(A) rows
+/// [r, r + mr) of a triangular op(A) hold any data — the only columns its
+/// packer writes and the micro-kernel reads. Depends on the row panel, never
+/// on B's or C's width.
+inline ColRange tri_panel_cols(OpTriangle s, int r, int mr, int p0, int kc) {
+  if (s.upper) return {std::clamp(r - p0, 0, kc), kc};
+  return {0, std::clamp(r + mr - p0, 0, kc)};
+}
+
 /// Pack the [i0, i0+mc) x [p0, p0+kc) block of op(A) into MR-row panels at
 /// dst (size >= round_up(mc, MR) * kc). op(A)(i, l) is a(i, l) or a(l, i).
+/// With `tri`, op(A) is triangular: each panel writes only its
+/// tri_panel_cols, reads only the triangle, and writes the zeros and the
+/// unit diagonal itself.
 template <typename T, int MR>
 void pack_a_panel(Trans trans, int mc, int kc, ConstMatrixView<T> a, int i0,
-                  int p0, T* dst);
+                  int p0, T* dst, const OpTriangle* tri = nullptr);
 
 /// Pack the [p0, p0+kc) x [j0, j0+nc) block of op(B), scaled by alpha, into
-/// NR-column panels at dst (size >= kc * round_up(nc, NR)).
+/// NR-column panels at dst (size >= kc * round_up(nc, NR)). With `tri`,
+/// op(B) is triangular: only the triangle is read, and the packer writes
+/// the zeros and alpha for a unit diagonal itself.
 template <typename T, int NR>
 void pack_b_panel(Trans trans, T alpha, int kc, int nc, ConstMatrixView<T> b,
-                  int p0, int j0, T* dst);
+                  int p0, int j0, T* dst, const OpTriangle* tri = nullptr);
 
 }  // namespace luqr::kern

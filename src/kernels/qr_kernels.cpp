@@ -2,7 +2,6 @@
 #include <cmath>
 
 #include "kernels/access.hpp"
-#include "kernels/compact_wy.hpp"
 #include "kernels/lapack.hpp"
 #include "kernels/pack.hpp"
 #include "obs/kprof.hpp"
@@ -101,30 +100,27 @@ void geqrt_blocked(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
             a.block(j0, j0 + bb, m - j0, ncols), wsp);
     if (j0 > 0) {
       Workspace::Frame frame(ws);
-      // V2 densified: the unit-lower trapezoid of the factored panel.
       const int mrem = m - j0;
-      const MatrixView<T> v2 = densify_triangle(
-          Uplo::Lower, Diag::Unit, ConstMatrixView<T>(panel), ws);
-      // W = V1^T V2. V2 is zero in the rows above j0, so only the dense
-      // below-j0 part of V1 (= the stored reflectors of the earlier panels)
-      // contributes.
+      // W = V1^T V2, with V2 the unit-lower trapezoid of the factored panel.
+      // V2 is zero in the rows above j0, so only the dense below-j0 part of
+      // V1 (= the stored reflectors of the earlier panels) contributes.
       MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(j0) * bb), j0, bb,
                       j0);
-      gemm(Trans::Yes, Trans::No, T(1),
-           ConstMatrixView<T>(a.block(j0, 0, mrem, j0)),
-           ConstMatrixView<T>(v2), T(0), w, wsp);
-      // T12 = -T1 W T2, both triangular products through GEMM on densified
-      // triangles: T1 grows to n - jb and the in-place TRMM's strided dot
-      // loops would dominate the whole factorization (measured >50% of the
-      // blocked kernel at nb = 128); two copies + packed GEMMs are far
-      // cheaper.
-      const MatrixView<T> w2 =
-          apply_t_factor(gemm_kernel_for(j0, bb, j0), Trans::No,
-                         ConstMatrixView<T>(t), ConstMatrixView<T>(w), ws);
-      const MatrixView<T> t2d = densify_triangle(
-          Uplo::Upper, Diag::NonUnit, ConstMatrixView<T>(t22), ws);
-      gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(w2),
-           ConstMatrixView<T>(t2d), T(0), t.block(0, j0, j0, bb), wsp);
+      gemm(TriOperand{Side::Right, Uplo::Lower, Diag::Unit}, Trans::Yes,
+           Trans::No, T(1), ConstMatrixView<T>(a.block(j0, 0, mrem, j0)),
+           ConstMatrixView<T>(panel), T(0), w, &ws);
+      // T12 = -T1 W T2, both triangular products through the packed GEMM's
+      // triangle operand: T1 grows to n - jb and the in-place TRMM's strided
+      // dot loops would dominate the whole factorization (measured >50% of
+      // the blocked kernel at nb = 128).
+      MatrixView<T> w2(ws.alloc<T>(static_cast<std::size_t>(j0) * bb), j0, bb,
+                       j0);
+      gemm(TriOperand{Side::Left, Uplo::Upper, Diag::NonUnit}, Trans::No,
+           Trans::No, T(1), ConstMatrixView<T>(t.block(0, 0, j0, j0)),
+           ConstMatrixView<T>(w), T(0), w2, &ws);
+      gemm(TriOperand{Side::Right, Uplo::Upper, Diag::NonUnit}, Trans::No,
+           Trans::No, T(-1), ConstMatrixView<T>(w2), ConstMatrixView<T>(t22),
+           T(0), t.block(0, j0, j0, bb), &ws);
     }
   }
 }
@@ -159,19 +155,20 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
 
   // The kernel follows the reflector block (k reflectors of height m) as if
-  // C were k wide, never C's real width: see kernels/compact_wy.hpp.
+  // C were k wide, never C's real width: see kernels/lapack.hpp.
   if (gemm_wants_blocked(k, k, m)) {
-    // Big tiles: materialize the unit-lower-trapezoidal V densely (the
-    // upper triangle of its storage holds R and must read as zero, the
-    // diagonal as one) so all three products of the compact-WY apply —
-    // W = V^T C, W2 = op(T) W, C -= V W2 — are packed GEMMs.
-    const MatrixView<T> vfull = densify_triangle(Uplo::Lower, Diag::Unit, v, ws);
-    gemm(GemmKernel::Blocked, Trans::Yes, Trans::No, T(1),
-         ConstMatrixView<T>(vfull), ConstMatrixView<T>(c), T(0), w, &ws);
-    const MatrixView<T> w2 = apply_t_factor(GemmKernel::Blocked, trans, t,
-                                            ConstMatrixView<T>(w), ws);
-    gemm(GemmKernel::Blocked, Trans::No, Trans::No, T(-1),
-         ConstMatrixView<T>(vfull), ConstMatrixView<T>(w2), T(1), c, &ws);
+    // Big tiles: all three products of the compact-WY apply — W = V^T C,
+    // W2 = op(T) W, C -= V W2 — are packed GEMMs on the triangles as
+    // stored: V unit-lower trapezoidal (the upper triangle of its storage
+    // holds R), T upper triangular.
+    const TriOperand v_lower{Side::Left, Uplo::Lower, Diag::Unit};
+    gemm(v_lower, Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c), T(0),
+         w, &ws);
+    MatrixView<T> w2(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
+    gemm(TriOperand{Side::Left, Uplo::Upper, Diag::NonUnit}, trans, Trans::No,
+         T(1), t.block(0, 0, k, k), ConstMatrixView<T>(w), T(0), w2, &ws);
+    gemm(v_lower, Trans::No, Trans::No, T(-1), v, ConstMatrixView<T>(w2), T(1),
+         c, &ws);
     return;
   }
 

@@ -249,7 +249,7 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
     // after every element that reads it: op(A) upper -> descending reads /
     // ascending writes, op(A) lower -> the reverse. unmqr and ttmqr use it
     // for their op(T) * Z step on small tiles only (above the GEMM threshold,
-    // and in tsmqr always, that step is a GEMM, kernels/compact_wy.hpp);
+    // and in tsmqr always, that step is a triangle-operand GEMM);
     // the inner loops are plain contiguous dots rather than a branchy
     // triangle lambda.
     const bool op_upper = (uplo == Uplo::Upper) == (trans == Trans::No);

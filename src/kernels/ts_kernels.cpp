@@ -1,7 +1,6 @@
 #include <cmath>
 
 #include "kernels/access.hpp"
-#include "kernels/compact_wy.hpp"
 #include "kernels/lapack.hpp"
 #include "kernels/pack.hpp"
 #include "obs/kprof.hpp"
@@ -79,21 +78,23 @@ void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   if (n == 0) return;
   Workspace& ws = workspace_or_tls(wsp);
   Workspace::Frame frame(ws);
-  // All three products run through the kernel of an nb-wide C, whatever
-  // C's real width (see kernels/compact_wy.hpp).
+  // The two V products run through the kernel of an nb-wide C, whatever
+  // C's real width (see kernels/lapack.hpp); op(T) Z is packed at any size.
   const GemmKernel kernel = gemm_kernel_for(nb, nb, m);
   // Z = C1 + V^T C2  (the stacked reflectors are [I; V]).
   MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
   copy(ConstMatrixView<T>(c1), z);
   gemm(kernel, Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c2), T(1), z,
        &ws);
-  // Z <- op(T) Z, a GEMM on the densified T like the two V products.
-  z = apply_t_factor(kernel, trans, t, ConstMatrixView<T>(z), ws);
+  // Z <- op(T) Z, a packed GEMM on T's upper triangle as stored.
+  MatrixView<T> z2(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
+  gemm(TriOperand{Side::Left, Uplo::Upper, Diag::NonUnit}, trans, Trans::No,
+       T(1), t.block(0, 0, nb, nb), ConstMatrixView<T>(z), T(0), z2, &ws);
   // C1 -= Z ; C2 -= V Z.
   for (int j = 0; j < n; ++j)
-    for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);
-  gemm(kernel, Trans::No, Trans::No, T(-1), v, ConstMatrixView<T>(z), T(1), c2,
-       &ws);
+    for (int i = 0; i < nb; ++i) c1(i, j) -= z2(i, j);
+  gemm(kernel, Trans::No, Trans::No, T(-1), v, ConstMatrixView<T>(z2), T(1),
+       c2, &ws);
 }
 
 #define LUQR_INST(T)                                                      \

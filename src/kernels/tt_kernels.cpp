@@ -1,7 +1,6 @@
 #include <cmath>
 
 #include "kernels/access.hpp"
-#include "kernels/compact_wy.hpp"
 #include "kernels/lapack.hpp"
 #include "kernels/pack.hpp"
 #include "obs/kprof.hpp"
@@ -84,26 +83,24 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   copy(ConstMatrixView<T>(c1), z);
 
   // The kernel follows the tile order, as if C were nb wide, never C's real
-  // width (see kernels/compact_wy.hpp).
+  // width (see kernels/lapack.hpp).
   if (gemm_wants_blocked(nb, nb, nb)) {
-    // Big tiles: materialize the triangular V as a dense tile (the storage
-    // below its diagonal belongs to earlier reflectors and must read as
-    // zero) and ride the packed GEMM for all three products, V^T C2, op(T) Z
-    // and V Z. The explicit zeros of V and T double the flops over the
-    // triangular loops (6 nb^2 n against 3 nb^2 n) but run at blocked-kernel
-    // speed, which overtakes the short triangular loops well before nb = 64.
-    const MatrixView<T> vfull =
-        densify_triangle(Uplo::Upper, Diag::NonUnit, v, ws);
+    // Big tiles: all three products, V^T C2, op(T) Z and V Z, ride the
+    // packed GEMM on the triangles as stored (the storage below V's
+    // diagonal belongs to earlier reflectors), skipping their zero halves:
+    // 3 nb^2 n flops, as in the triangular loops, at blocked-kernel speed.
+    const TriOperand upper{Side::Left, Uplo::Upper, Diag::NonUnit};
     // Z = C1 + V^T C2.
-    gemm(GemmKernel::Blocked, Trans::Yes, Trans::No, T(1),
-         ConstMatrixView<T>(vfull), ConstMatrixView<T>(c2), T(1), z, &ws);
-    z = apply_t_factor(GemmKernel::Blocked, trans, t, ConstMatrixView<T>(z),
-                       ws);
+    gemm(upper, Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c2), T(1),
+         z, &ws);
+    MatrixView<T> z2(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
+    gemm(upper, trans, Trans::No, T(1), t.block(0, 0, nb, nb),
+         ConstMatrixView<T>(z), T(0), z2, &ws);
     // C1 -= Z ; C2 -= V Z.
     for (int j = 0; j < n; ++j)
-      for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);
-    gemm(GemmKernel::Blocked, Trans::No, Trans::No, T(-1),
-         ConstMatrixView<T>(vfull), ConstMatrixView<T>(z), T(1), c2, &ws);
+      for (int i = 0; i < nb; ++i) c1(i, j) -= z2(i, j);
+    gemm(upper, Trans::No, Trans::No, T(-1), v, ConstMatrixView<T>(z2), T(1),
+         c2, &ws);
     return;
   }
 

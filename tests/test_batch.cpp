@@ -108,8 +108,8 @@ TEST(BatchPlanning, ScratchEstimateIsPositiveAndMonotonicInTile) {
 }
 
 TEST(BatchPlanning, ScratchEstimateCoversAnAllQrChunk) {
-  // The compact-WY applies stage the most scratch of any step (W, dense V,
-  // dense T and op(T) W, plus the pack panels). A chunk that reserves the
+  // The compact-WY applies stage the most scratch of any step (W and
+  // op(T) W, plus the pack panels). A chunk that reserves the
   // estimate up front must then factor every member without growing the
   // arena, so the reserved room is trimmed to exactly the estimate first.
   for (const auto& [n, nb] : {std::pair{96, 32}, std::pair{256, 64},

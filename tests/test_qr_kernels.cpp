@@ -163,8 +163,8 @@ TEST(GeqrtFloat, SinglePrecision) {
 
 // ---------------------------------------------------------------------------
 // Blocked UNMQR branch (nb x nb x nb products above the GEMM dispatch
-// threshold): all three compact-WY products run as packed GEMMs on
-// densified V and T.
+// threshold): all three compact-WY products run as packed GEMMs that read
+// V's and T's triangles in place.
 // ---------------------------------------------------------------------------
 
 // (nb, RHS width n, Trans::Yes?)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -211,6 +212,18 @@ TEST(SolveService, InteractiveOvertakesBatchTraffic) {
   ServiceConfig cfg = base_config(1);
   cfg.max_inflight = 1;
   SolveService svc(cfg);
+  // Hold the lone worker on a latch until the interactive job is queued, so
+  // at most the one admitted batch job can finish ahead of it, however fast
+  // the jobs run or however slowly this thread submits.
+  std::promise<void> held, release;
+  std::shared_future<void> released = release.get_future().share();
+  svc.engine().submit(
+      [&held, released] {
+        held.set_value();
+        released.wait();
+      },
+      {});
+  held.get_future().wait();
   std::vector<JobHandle> batch;
   for (int i = 0; i < 12; ++i) {
     const auto a = gen::generate(gen::MatrixKind::Random, 64, 500 + i);
@@ -220,6 +233,7 @@ TEST(SolveService, InteractiveOvertakesBatchTraffic) {
   const auto a = gen::generate(gen::MatrixKind::Random, 32, 700);
   const auto b = random_matrix(32, 1, 701);
   auto urgent = svc.submit_solve(a, b, Priority::Interactive);
+  release.set_value();
   (void)urgent.get();
   // The urgent job jumped the queue: batch work must still be outstanding.
   int not_done = 0;

@@ -220,7 +220,7 @@ TEST(TsqrtFloat, SinglePrecisionRoundtrip) {
 
 // ---------------------------------------------------------------------------
 // Blocked TSMQR/TTMQR branch (nb x nb x nb products above the GEMM dispatch
-// threshold): op(T) Z runs as a packed GEMM on the densified T factor.
+// threshold): op(T) Z runs as a packed GEMM on T's upper triangle.
 // ---------------------------------------------------------------------------
 
 enum class Stacked { Ts, Tt };
